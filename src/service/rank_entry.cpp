@@ -32,12 +32,12 @@ class StageTracker final : public StageControl {
   PipelineStage last_ = PipelineStage::TruthDiscovery;
 };
 
-void apply_cached(const CachedResult& cached, RankOutcome& out) {
+void apply_cached(CachedResult&& cached, RankOutcome& out) {
   out.outcome = cached.outcome;
   out.stage = cached.stage;
-  out.reason = cached.reason;
-  out.ranking = cached.ranking;
-  out.hardening = cached.hardening;
+  out.reason = std::move(cached.reason);
+  out.ranking = std::move(cached.ranking);
+  out.hardening = std::move(cached.hardening);
   out.log_probability = cached.log_probability;
 }
 
@@ -91,7 +91,7 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
     out.cache.key_hex = key.hex();
     if (params.cache_control != CacheControl::Refresh) {
       if (std::optional<CachedResult> hit = params.cache->lookup(key)) {
-        apply_cached(*hit, out);
+        apply_cached(std::move(*hit), out);
         out.cache.served_from_cache = true;
         return out;
       }

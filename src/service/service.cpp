@@ -381,9 +381,16 @@ struct RankingService::Impl {
     try {
       // Service stage: input hardening (plus injected vote mutations).
       control.poll(PipelineStage::Hardening);
-      VoteBatch votes = ticket.job.votes;
-      for (const FaultPlan* plan : faults) {
-        mutate_votes(votes, *plan, ticket.job.object_count);
+      // Rank the submitted batch in place; only injected vote mutations
+      // need a private copy.
+      const VoteBatch* votes = &ticket.job.votes;
+      VoteBatch mutated;
+      if (!faults.empty()) {
+        mutated = ticket.job.votes;
+        for (const FaultPlan* plan : faults) {
+          mutate_votes(mutated, *plan, ticket.job.object_count);
+        }
+        votes = &mutated;
       }
 
       // Per-job engine sinks would race on the process-global active-sink
@@ -396,7 +403,7 @@ struct RankingService::Impl {
       // infer -> id remap exactly as the api facade does; JobInterrupt
       // thrown by `control` at a checkpoint passes through it untouched.
       RankParams params;
-      params.votes = &votes;
+      params.votes = votes;
       params.object_count = ticket.job.object_count;
       params.worker_count = ticket.job.worker_count;
       params.seed = ticket.job.seed;

@@ -17,8 +17,10 @@
 // not authentication.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -41,6 +43,8 @@ class StableHash {
   /// `seed` separates key spaces (e.g. frame checksums vs. cache keys).
   explicit StableHash(std::uint64_t seed = 0);
 
+  /// Whole 16-byte blocks are mixed straight from `data`; only a partial
+  /// block is buffered, so one large call costs what the hash costs.
   void add_bytes(const void* data, std::size_t size);
   void add_u8(std::uint8_t value);
   void add_u32(std::uint32_t value);
@@ -51,6 +55,17 @@ class StableHash {
   /// Length-prefixed, so {"ab","c"} and {"a","bc"} hash differently.
   void add_string(std::string_view value);
 
+  /// Writes the 8 bytes add_u64(value) appends to `out` and returns
+  /// `out + 8`: callers hashing many fields stage them in a buffer and
+  /// pass it to add_bytes in one call.
+  static std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t value) {
+    if constexpr (std::endian::native == std::endian::big) {
+      value = __builtin_bswap64(value);
+    }
+    std::memcpy(out, &value, sizeof(value));
+    return out + sizeof(value);
+  }
+
   /// Finalizes a copy of the state: the hasher stays usable, and digests
   /// taken at different prefixes are all valid.
   HashDigest digest() const;
@@ -58,8 +73,6 @@ class StableHash {
   std::uint64_t digest64() const { return digest().lo; }
 
  private:
-  void mix_block(std::uint64_t k1, std::uint64_t k2);
-
   std::uint64_t h1_;
   std::uint64_t h2_;
   std::uint8_t tail_[16] = {};

@@ -134,6 +134,32 @@ TEST(CacheKey, RepresentationOnlyKnobsDoNotPerturbTheKey) {
             key_for(votes));
 }
 
+TEST(CacheKey, DigestOfAFixedBatchIsPinned) {
+  // The key is a persistence format: disk-tier artifacts are named by it,
+  // so a stored result is only found again if the same request derives the
+  // same bytes. Pin the digest of one ~300-vote batch on both paths; any
+  // change to the per-vote byte layout or to how StableHash consumes it
+  // must fail here (and needs a kCacheKeySchema bump).
+  VoteBatch votes;
+  for (std::size_t k = 0; k < 298; ++k) {
+    const std::size_t i = (k * 31) % 97;
+    votes.push_back({(k * 7919) % 41, i, (i + 1 + k % 13) % 97,
+                     (k * k) % 3 == 0});
+  }
+  // Wide ids, so every byte of each u64 field reaches the digest.
+  votes.push_back({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 1, true});
+  votes.push_back({0x8000000000000001ULL, 2, 0x00ff00ff00ff00ffULL, false});
+
+  EXPECT_EQ(compute_cache_key(votes, 97, 41, 5, InferenceConfig{},
+                              /*repair=*/false, nullptr)
+                .hex(),
+            "da911c9ef2cec3b6f21896254c1e21ad");
+  EXPECT_EQ(compute_cache_key(votes, 97, 41, 5, InferenceConfig{},
+                              /*repair=*/true, &kPolicy)
+                .hex(),
+            "19e0826296ec3efe08a69732092f9139");
+}
+
 // -- memory tier ---------------------------------------------------------
 
 TEST(ResultCache, MissThenHit) {
