@@ -472,9 +472,12 @@ void run_simd_benches(trace::RunReport& report,
 ///
 /// Both regimes are asserted, not just reported: a horizon-4 row that
 /// densifies (or a horizon-8 row that doesn't) means the fill monitoring
-/// broke. Single rep per row; smoke mode keeps only the fast all-sparse
-/// n=3000 row.
+/// broke. Step 2 (smoothing) is asserted too: it walks the sparse
+/// preference graph, so it must stay under kMaxStep2Share of the row's
+/// inference time. Single rep per row; smoke mode keeps only the fast
+/// all-sparse n=3000 row.
 void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
+  constexpr double kMaxStep2Share = 0.02;
   struct LargeRun {
     std::size_t n;
     std::size_t horizon;
@@ -483,15 +486,16 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
       smoke_mode()
           ? std::vector<LargeRun>{{3000, 4}}
           : std::vector<LargeRun>{{3000, 4}, {3000, 8}, {10000, 4}};
-  TableWriter table({"n", "horizon", "experiment_ms", "step3_ms",
-                     "fill_ratio", "densify_step", "sparse_gflop",
-                     "accuracy"});
+  TableWriter table({"n", "horizon", "experiment_ms", "step2_ms",
+                     "step3_ms", "fill_ratio", "densify_step",
+                     "sparse_gflop", "accuracy"});
   set_thread_count(parallel_threads);
   for (const LargeRun& spec : runs) {
     ExperimentConfig config = make_config(spec.n);
     config.selection_ratio = 16.0 / static_cast<double>(spec.n - 1);
     config.inference.propagation.spectral_horizon = spec.horizon;
     const StageTimes t = run_config(config);
+    const double step2_ms = t.timings.seconds("step2_smoothing") * 1e3;
     const double step3_ms = t.timings.seconds("step3_propagation") * 1e3;
     const double gflop = static_cast<double>(t.step3.sparse_flops) / 1e9;
     const bool expect_sparse = spec.horizon <= 4;
@@ -503,9 +507,17 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
                 << "\n";
       std::exit(1);
     }
+    if (step2_ms > kMaxStep2Share * t.total_ms) {
+      std::cerr << "ERROR: large-n run (n=" << spec.n << ", horizon="
+                << spec.horizon << ") spent " << step2_ms
+                << " ms in step 2, " << 100.0 * step2_ms / t.total_ms
+                << "% of " << t.total_ms << " ms inference (limit "
+                << 100.0 * kMaxStep2Share << "%)\n";
+      std::exit(1);
+    }
     table.add_row({std::to_string(spec.n), std::to_string(spec.horizon),
                    TableWriter::fmt(t.experiment_ms),
-                   TableWriter::fmt(step3_ms),
+                   TableWriter::fmt(step2_ms), TableWriter::fmt(step3_ms),
                    TableWriter::fmt(t.step3.fill_ratio),
                    std::to_string(t.step3.densify_step),
                    TableWriter::fmt(gflop), TableWriter::fmt(t.accuracy)});
@@ -519,6 +531,7 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     run.note("threads", static_cast<std::int64_t>(parallel_threads));
     run.note("experiment_ms", t.experiment_ms);
     run.note("inference_ms", t.total_ms);
+    run.note("step2_ms", step2_ms);
     run.note("step3_ms", step3_ms);
     run.note("fill_ratio", t.step3.fill_ratio);
     run.note("densify_step",

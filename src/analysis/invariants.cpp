@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -163,70 +164,25 @@ void check_preference_graph(const PreferenceGraph& graph) {
   constexpr const char* kStage = "preference_graph";
   note_check(kStage);
   const std::size_t n = graph.vertex_count();
-  const Matrix& w = graph.weights();
-  if (w.rows() != n || w.cols() != n) {
-    fail(kStage, "dense weight matrix shape does not match vertex count");
-  }
   for (std::size_t i = 0; i < n; ++i) {
-    if (w(i, i) != 0.0) {
-      std::ostringstream os;
-      os << "self-preference " << w(i, i) << " at vertex " << i;
-      fail(kStage, os.str());
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = w(i, j);
-      if (!(v >= 0.0 && v <= 1.0)) {
+    const std::span<const OutEdge> row = graph.out_edges(i);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const OutEdge& e = row[k];
+      if (e.to >= n || (k > 0 && row[k - 1].to >= e.to)) {
         std::ostringstream os;
-        os << "weight " << v << " at " << pair_str(i, j)
-           << " is outside [0, 1]";
+        os << "row " << i << " neighbors not strictly ascending valid ids "
+           << "at entry " << k;
         fail(kStage, os.str());
       }
-    }
-  }
-  // CSR cross-consistency with the dense view it mirrors.
-  check_csr_consistency(w, graph.out_csr());
-}
-
-void check_csr_consistency(const Matrix& weights, const CsrAdjacency& csr) {
-  constexpr const char* kStage = "preference_graph_csr";
-  note_check(kStage);
-  const std::size_t n = weights.rows();
-  if (csr.row_ptr.size() != n + 1 || csr.row_ptr.front() != 0 ||
-      csr.row_ptr.back() != csr.neighbors.size() ||
-      csr.neighbors.size() != csr.weights.size()) {
-    fail(kStage, "CSR shape disagrees with the dense matrix");
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t begin = csr.row_ptr[v];
-    const std::size_t end = csr.row_ptr[v + 1];
-    if (end < begin) {
-      std::ostringstream os;
-      os << "row_ptr not monotone at vertex " << v;
-      fail(kStage, os.str());
-    }
-    std::size_t dense_out = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (weights(v, j) > 0.0) ++dense_out;
-    }
-    if (end - begin != dense_out) {
-      std::ostringstream os;
-      os << "CSR row " << v << " lists " << end - begin
-         << " out-edges, dense matrix has " << dense_out;
-      fail(kStage, os.str());
-    }
-    for (std::size_t e = begin; e < end; ++e) {
-      const VertexId to = csr.neighbors[e];
-      if (to >= n || (e > begin && csr.neighbors[e - 1] >= to)) {
+      if (e.to == i) {
         std::ostringstream os;
-        os << "CSR row " << v << " neighbors not strictly ascending valid "
-           << "ids at entry " << e - begin;
+        os << "self-preference " << e.weight << " at vertex " << i;
         fail(kStage, os.str());
       }
-      if (csr.weights[e] != weights(v, to)) {
+      if (!(e.weight > 0.0 && e.weight <= 1.0)) {
         std::ostringstream os;
-        os << "CSR weight " << csr.weights[e] << " of edge "
-           << pair_str(v, to) << " disagrees with dense weight "
-           << weights(v, to);
+        os << "stored weight " << e.weight << " at " << pair_str(i, e.to)
+           << " is outside (0, 1]";
         fail(kStage, os.str());
       }
     }

@@ -78,16 +78,10 @@ void check_truth_discovery(const TruthDiscoveryResult& step1,
                            std::size_t object_count,
                            std::size_t worker_count);
 
-/// Preference-graph representation: weights in [0, 1] with a zero
-/// diagonal, and the lazily-built CSR view row-consistent with the dense
-/// matrix (monotone row_ptr, strictly ascending neighbors, matching
-/// weights and per-row degree).
+/// Preference-graph representation, walked row by row: every stored
+/// weight in (0, 1] (absent edges are the zeros), a zero diagonal (no
+/// self-edge), and strictly ascending in-range neighbors per row.
 void check_preference_graph(const PreferenceGraph& graph);
-
-/// The CSR-vs-dense cross-check of check_preference_graph on its own, for
-/// any (weights, csr) pair claiming to describe the same digraph. Exposed
-/// separately so tests can corrupt a detached CsrAdjacency.
-void check_csr_consistency(const Matrix& weights, const CsrAdjacency& csr);
 
 /// SparseMatrix structural invariants (the sparse-first propagation state,
 /// checked at the densify boundary): row_ptr spans [0, nnz] monotonically

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "analysis/invariants.hpp"
 #include "graph/transitive_closure.hpp"
@@ -54,11 +55,19 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
 
   const bool validate = analysis::invariant_checks_enabled();
 
-  // The smoothed graph's cached CSR view is the natural sparse starting
-  // point — no dense scan, no conversion beyond an O(m) copy.
-  const CsrAdjacency& adj = smoothed.out_csr();
-  SparseMatrix s_sparse = SparseMatrix::from_csr(
-      n, n, adj.row_ptr, adj.neighbors, adj.weights);
+  // The smoothed graph's rows are the natural sparse starting point — no
+  // dense scan, just an O(n + m) flattening into CSR arrays.
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<std::size_t> cols;
+  std::vector<double> values;
+  for (VertexId v = 0; v < n; ++v) {
+    for (const OutEdge& e : smoothed.out_edges(v)) {
+      cols.push_back(e.to);
+      values.push_back(e.weight);
+    }
+    row_ptr.push_back(cols.size());
+  }
+  SparseMatrix s_sparse = SparseMatrix::from_csr(n, n, row_ptr, cols, values);
 
   const double w_max = s_sparse.max_value();
   if (trace_scans != nullptr) trace_scans->add(1);
@@ -217,8 +226,6 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
              "completeness floor must be in (0, 0.5)");
   const std::size_t n = smoothed.vertex_count();
 
-  const Matrix& direct = smoothed.weights();
-
   if (config.mode == PropagationMode::SpectralLimit) {
     CR_EXPECTS(config.fill_threshold >= 0.0 && config.fill_threshold <= 1.0,
                "fill threshold must be in [0, 1]");
@@ -273,6 +280,8 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
   // The bounded-walks / exact-paths engines are inherently dense (they
   // blend against the dense direct matrix pairwise); the sparse-first
   // mandate covers only the SpectralLimit branch above.
+  const Matrix direct =
+      smoothed.to_dense();  // lint:allow(dense-in-propagation)
   Matrix indirect =
       config.mode == PropagationMode::BoundedWalks
           ? walk_indirect_preferences(direct, config.max_length)

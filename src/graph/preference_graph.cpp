@@ -6,21 +6,24 @@
 
 namespace crowdrank {
 
-PreferenceGraph::PreferenceGraph(std::size_t n)
-    : n_(n), weights_(n, n, 0.0) {
+namespace {
+
+bool target_less(const OutEdge& e, VertexId to) { return e.to < to; }
+
+}  // namespace
+
+PreferenceGraph::PreferenceGraph(std::size_t n) : rows_(n) {
   CR_EXPECTS(n >= 2, "a preference graph needs at least two objects");
 }
 
 void PreferenceGraph::check_vertex(VertexId v) const {
-  CR_EXPECTS(v < n_, "vertex id out of range");
+  CR_EXPECTS(v < rows_.size(), "vertex id out of range");
 }
 
 std::size_t PreferenceGraph::edge_count() const {
   std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (weights_(i, j) > 0.0) ++count;
-    }
+  for (const auto& row : rows_) {
+    count += row.size();
   }
   return count;
 }
@@ -31,99 +34,50 @@ void PreferenceGraph::set_weight(VertexId from, VertexId to, double weight) {
   CR_EXPECTS(from != to, "self-preference is not allowed");
   CR_EXPECTS(weight >= 0.0 && weight <= 1.0,
              "preference weight must lie in [0, 1]");
-  weights_(from, to) = weight;
-  if (csr_built_) {
-    // Only row `from` of the CSR mirror went stale; remember exactly that
-    // so the next out_csr() re-scans one row, not the whole matrix.
-    if (dirty_rows_.empty()) {
-      dirty_rows_.assign(n_, 0);
-    }
-    if (dirty_rows_[from] == 0) {
-      dirty_rows_[from] = 1;
-      ++dirty_count_;
-    }
+  auto& row = rows_[from];
+  const auto it = std::lower_bound(row.begin(), row.end(), to, target_less);
+  const bool present = it != row.end() && it->to == to;
+  if (weight == 0.0) {
+    if (present) row.erase(it);
+  } else if (present) {
+    it->weight = weight;
+  } else {
+    row.insert(it, OutEdge{to, weight});
   }
 }
 
-const CsrAdjacency& PreferenceGraph::out_csr() const {
-  if (csr_built_ && dirty_count_ == 0) {
-    return csr_;
+double PreferenceGraph::weight(VertexId from, VertexId to) const {
+  CR_DEBUG_EXPECTS(from < rows_.size() && to < rows_.size(),
+                   "vertex id out of range");
+  const auto& row = rows_[from];
+  const auto it = std::lower_bound(row.begin(), row.end(), to, target_less);
+  return it != row.end() && it->to == to ? it->weight : 0.0;
+}
+
+std::span<const OutEdge> PreferenceGraph::out_edges(VertexId v) const {
+  CR_DEBUG_EXPECTS(v < rows_.size(), "vertex id out of range");
+  return rows_[v];
+}
+
+std::vector<std::size_t> PreferenceGraph::in_degrees() const {
+  std::vector<std::size_t> in(rows_.size(), 0);
+  for (const auto& row : rows_) {
+    for (const OutEdge& e : row) ++in[e.to];
   }
-  if (!csr_built_) {
-    // First build: one row-major scan. The scan emits each row's neighbors
-    // in ascending id order, which the single-pass build preserves.
-    csr_.row_ptr.assign(n_ + 1, 0);
-    csr_.neighbors.clear();
-    csr_.weights.clear();
-    for (std::size_t i = 0; i < n_; ++i) {
-      csr_.row_ptr[i] = csr_.neighbors.size();
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double w = weights_(i, j);
-        if (w > 0.0) {
-          csr_.neighbors.push_back(static_cast<VertexId>(j));
-          csr_.weights.push_back(w);
-        }
-      }
-    }
-    csr_.row_ptr[n_] = csr_.neighbors.size();
-    csr_built_ = true;
-    return csr_;
-  }
-  // Amortized refresh: splice the clean rows' segments out of the stale
-  // view verbatim and re-scan the dense matrix only for the d dirty rows —
-  // O(n + m + d * n) against the full rebuild's O(n^2).
-  CsrAdjacency fresh;
-  fresh.row_ptr.assign(n_ + 1, 0);
-  fresh.neighbors.reserve(csr_.neighbors.size());
-  fresh.weights.reserve(csr_.weights.size());
-  for (std::size_t i = 0; i < n_; ++i) {
-    fresh.row_ptr[i] = fresh.neighbors.size();
-    if (dirty_rows_[i] != 0) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double w = weights_(i, j);
-        if (w > 0.0) {
-          fresh.neighbors.push_back(static_cast<VertexId>(j));
-          fresh.weights.push_back(w);
-        }
-      }
-    } else {
-      const std::size_t begin = csr_.row_ptr[i];
-      const std::size_t end = csr_.row_ptr[i + 1];
-      fresh.neighbors.insert(fresh.neighbors.end(),
-                             csr_.neighbors.begin() + begin,
-                             csr_.neighbors.begin() + end);
-      fresh.weights.insert(fresh.weights.end(),
-                           csr_.weights.begin() + begin,
-                           csr_.weights.begin() + end);
-    }
-  }
-  fresh.row_ptr[n_] = fresh.neighbors.size();
-  csr_ = std::move(fresh);
-  std::fill(dirty_rows_.begin(), dirty_rows_.end(), 0);
-  dirty_count_ = 0;
-  return csr_;
+  return in;
 }
 
 std::size_t PreferenceGraph::in_degree(VertexId v) const {
   check_vertex(v);
   std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (weights_(i, v) > 0.0) ++count;
-  }
-  return count;
-}
-
-std::size_t PreferenceGraph::out_degree(VertexId v) const {
-  check_vertex(v);
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (weights_(v, j) > 0.0) ++count;
+  for (VertexId u = 0; u < rows_.size(); ++u) {
+    if (has_edge(u, v)) ++count;
   }
   return count;
 }
 
 bool PreferenceGraph::is_in_node(VertexId v) const {
-  return in_degree(v) > 0 && out_degree(v) == 0;
+  return out_degree(v) == 0 && in_degree(v) > 0;
 }
 
 bool PreferenceGraph::is_out_node(VertexId v) const {
@@ -131,17 +85,19 @@ bool PreferenceGraph::is_out_node(VertexId v) const {
 }
 
 std::vector<VertexId> PreferenceGraph::in_nodes() const {
+  const std::vector<std::size_t> in = in_degrees();
   std::vector<VertexId> result;
-  for (VertexId v = 0; v < n_; ++v) {
-    if (is_in_node(v)) result.push_back(v);
+  for (VertexId v = 0; v < rows_.size(); ++v) {
+    if (in[v] > 0 && rows_[v].empty()) result.push_back(v);
   }
   return result;
 }
 
 std::vector<VertexId> PreferenceGraph::out_nodes() const {
+  const std::vector<std::size_t> in = in_degrees();
   std::vector<VertexId> result;
-  for (VertexId v = 0; v < n_; ++v) {
-    if (is_out_node(v)) result.push_back(v);
+  for (VertexId v = 0; v < rows_.size(); ++v) {
+    if (in[v] == 0 && !rows_[v].empty()) result.push_back(v);
   }
   return result;
 }
@@ -149,48 +105,70 @@ std::vector<VertexId> PreferenceGraph::out_nodes() const {
 std::vector<std::pair<VertexId, VertexId>> PreferenceGraph::one_edges()
     const {
   std::vector<std::pair<VertexId, VertexId>> result;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (weights_(i, j) == 1.0) {
-        result.emplace_back(i, j);
-      }
+  for (VertexId i = 0; i < rows_.size(); ++i) {
+    for (const OutEdge& e : rows_[i]) {
+      if (e.weight == 1.0) result.emplace_back(i, e.to);
     }
   }
   return result;
 }
 
 bool PreferenceGraph::is_complete() const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (i != j && weights_(i, j) <= 0.0) return false;
-    }
-  }
-  return true;
+  // Rows hold no self-edge and no duplicate, so a full row has n - 1.
+  return std::all_of(rows_.begin(), rows_.end(), [&](const auto& row) {
+    return row.size() + 1 == rows_.size();
+  });
 }
 
 bool PreferenceGraph::is_strongly_connected() const {
-  // Kosaraju without recursion: forward DFS reachability from vertex 0,
-  // then backward DFS reachability; strongly connected iff both cover V.
+  const std::size_t n = rows_.size();
+  // Transpose once, O(n + m): in-neighbors of v are
+  // sources[offset[v] .. offset[v + 1]).
+  const std::vector<std::size_t> in = in_degrees();
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) offset[v + 1] = offset[v] + in[v];
+  std::vector<VertexId> sources(offset[n]);
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    for (const OutEdge& e : rows_[v]) sources[fill[e.to]++] = v;
+  }
+
+  // Strongly connected iff vertex 0 reaches all of V forward and backward.
   const auto reaches_all = [&](bool forward) {
-    std::vector<bool> seen(n_, false);
+    std::vector<bool> seen(n, false);
     std::vector<VertexId> stack{0};
     seen[0] = true;
     std::size_t visited = 1;
+    const auto visit = [&](VertexId u) {
+      if (!seen[u]) {
+        seen[u] = true;
+        ++visited;
+        stack.push_back(u);
+      }
+    };
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
-      for (VertexId u = 0; u < n_; ++u) {
-        const double w = forward ? weights_(v, u) : weights_(u, v);
-        if (w > 0.0 && !seen[u]) {
-          seen[u] = true;
-          ++visited;
-          stack.push_back(u);
+      if (forward) {
+        for (const OutEdge& e : rows_[v]) visit(e.to);
+      } else {
+        for (std::size_t k = offset[v]; k < offset[v + 1]; ++k) {
+          visit(sources[k]);
         }
       }
     }
-    return visited == n_;
+    return visited == n;
   };
   return reaches_all(true) && reaches_all(false);
+}
+
+Matrix PreferenceGraph::to_dense() const {
+  const std::size_t n = rows_.size();
+  Matrix dense(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const OutEdge& e : rows_[i]) dense(i, e.to) = e.weight;
+  }
+  return dense;
 }
 
 PreferenceGraph PreferenceGraph::from_matrix(const Matrix& weights) {

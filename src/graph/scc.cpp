@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -28,10 +29,11 @@ SccDecomposition strongly_connected_components(const PreferenceGraph& g) {
   SccDecomposition result;
   result.component_of.assign(n, kUnvisited);
 
-  // Iterative Tarjan: frame = (vertex, next neighbor to try).
+  // Iterative Tarjan: frame = (vertex, position of the next out-edge to
+  // try in its ascending row).
   struct Frame {
     VertexId v;
-    VertexId next;
+    std::size_t next;
   };
   std::vector<Frame> frames;
 
@@ -45,10 +47,10 @@ SccDecomposition strongly_connected_components(const PreferenceGraph& g) {
     while (!frames.empty()) {
       Frame& frame = frames.back();
       const VertexId v = frame.v;
+      const std::span<const OutEdge> row = g.out_edges(v);
       bool descended = false;
-      while (frame.next < n) {
-        const VertexId u = frame.next++;
-        if (u == v || g.weight(v, u) <= 0.0) continue;
+      while (frame.next < row.size()) {
+        const VertexId u = row[frame.next++].to;
         if (index[u] == kUnvisited) {
           index[u] = lowlink[u] = next_index++;
           stack.push_back(u);
@@ -98,10 +100,9 @@ std::vector<std::pair<std::size_t, std::size_t>> condensation_edges(
   std::set<std::pair<std::size_t, std::size_t>> edges;
   const std::size_t n = g.vertex_count();
   for (VertexId v = 0; v < n; ++v) {
-    for (VertexId u = 0; u < n; ++u) {
-      if (v == u || g.weight(v, u) <= 0.0) continue;
+    for (const OutEdge& e : g.out_edges(v)) {
       const std::size_t cv = scc.component_of[v];
-      const std::size_t cu = scc.component_of[u];
+      const std::size_t cu = scc.component_of[e.to];
       if (cv != cu) {
         edges.emplace(cv, cu);
       }

@@ -19,10 +19,9 @@ namespace crowdrank {
 
 /// Result of an SCC decomposition.
 struct SccDecomposition {
-  /// component_of[v] = id of v's component, in reverse topological order
-  /// of the condensation (component 0 has no incoming condensation edges
-  /// ... actually: ids are assigned so that every condensation edge goes
-  /// from a higher id to a lower id — Tarjan's natural order).
+  /// component_of[v] = id of v's component. Ids follow Tarjan's natural
+  /// order, a reverse topological order of the condensation: every
+  /// condensation edge goes from a higher id to a lower id.
   std::vector<std::size_t> component_of;
   /// members[c] = vertices of component c.
   std::vector<std::vector<VertexId>> members;
@@ -36,8 +35,9 @@ struct SccDecomposition {
   bool single_component() const { return count() == 1; }
 };
 
-/// Tarjan's algorithm, iterative (no recursion — safe for n in the
-/// thousands). O(V + E) on the dense adjacency.
+/// Tarjan's algorithm, iterative (no recursion, so deep graphs cannot
+/// overflow the call stack). O(V + E): it walks each out-edge row once,
+/// neighbours in ascending id order.
 SccDecomposition strongly_connected_components(const PreferenceGraph& g);
 
 /// Condensation edges: distinct pairs (from_component, to_component) with

@@ -10,9 +10,6 @@ namespace crowdrank {
 std::vector<std::vector<bool>> reachability_closure(
     const PreferenceGraph& g) {
   const std::size_t n = g.vertex_count();
-  // Materialize the CSR view on the calling thread before fanning out:
-  // the lazy build is not safe to race, the finished view is.
-  const CsrAdjacency& csr = g.out_csr();
   std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
   parallel_for(0, n, /*grain=*/8, [&](std::size_t s0, std::size_t s1) {
     // Per-chunk scratch; each source writes only closure[src].
@@ -24,8 +21,8 @@ std::vector<std::vector<bool>> reachability_closure(
       while (!stack.empty()) {
         const VertexId v = stack.back();
         stack.pop_back();
-        for (std::size_t e = csr.row_ptr[v]; e < csr.row_ptr[v + 1]; ++e) {
-          const VertexId u = csr.neighbors[e];
+        for (const OutEdge& e : g.out_edges(v)) {
+          const VertexId u = e.to;
           if (!row[u]) {
             row[u] = true;  // u reachable by a non-empty path; src -> src
                             // only becomes true via a directed cycle
@@ -72,11 +69,10 @@ void enumerate_paths(const PreferenceGraph& g, VertexId src, VertexId current,
                      double product, std::size_t depth, std::size_t max_len,
                      std::vector<bool>& on_path, Matrix& out) {
   if (depth >= max_len) return;
-  const std::size_t n = g.vertex_count();
-  for (VertexId next = 0; next < n; ++next) {
-    const double w = g.weight(current, next);
-    if (w <= 0.0 || on_path[next]) continue;
-    const double extended = product * w;
+  for (const OutEdge& e : g.out_edges(current)) {
+    const VertexId next = e.to;
+    if (on_path[next]) continue;
+    const double extended = product * e.weight;
     if (depth + 1 >= 2) {
       // Paths of length >= 2 contribute to the indirect preference.
       out(src, next) += extended;

@@ -19,12 +19,11 @@ constexpr std::size_t kChecksumSize = 8;
 constexpr std::size_t kMinFrameSize = kHeaderSize + kChecksumSize;
 /// Separates frame checksums from every other StableHash key space.
 constexpr std::uint64_t kChecksumSeed = 0x43524146;  // "CRAF"
-/// Graph decoders allocate per-vertex bookkeeping (dense n x n for
-/// PreferenceGraph) from a single fixed-size header field, so the vertex
-/// count is capped before any construction: a 32-byte forged frame with a
-/// valid checksum must not be able to demand a multi-terabyte allocation,
-/// and n * n must stay representable in std::size_t. 2^26 vertices is far
-/// beyond any ranking universe the serving story targets.
+/// Graph decoders allocate per-vertex bookkeeping from a single fixed-size
+/// header field, so the vertex count is capped before any construction: a
+/// 32-byte forged frame with a valid checksum must not be able to demand a
+/// multi-gigabyte allocation. 2^26 vertices is far beyond any ranking
+/// universe the serving story targets.
 constexpr std::uint64_t kMaxDecodedVertices = std::uint64_t{1} << 26;
 
 std::string hex64(std::uint64_t value) {
@@ -421,19 +420,29 @@ Result<TaskGraph> decode_task_graph(std::string_view bytes) {
 // -- PreferenceGraph (CSR over the positive-weight edges) ---------------
 
 std::string encode(const PreferenceGraph& graph) {
-  const CsrAdjacency& csr = graph.out_csr();
+  // Three walks over the rows write the CSR sections in order: row_ptr,
+  // then every neighbor, then every weight.
+  const std::size_t n = graph.vertex_count();
+  const std::size_t m = graph.edge_count();
   std::string payload;
-  payload.reserve(16 + csr.row_ptr.size() * 8 + csr.neighbors.size() * 16);
-  put_u64(payload, graph.vertex_count());
-  put_u64(payload, csr.neighbors.size());
-  for (const std::size_t offset : csr.row_ptr) {
+  payload.reserve(16 + (n + 1) * 8 + m * 16);
+  put_u64(payload, n);
+  put_u64(payload, m);
+  std::size_t offset = 0;
+  put_u64(payload, offset);
+  for (VertexId v = 0; v < n; ++v) {
+    offset += graph.out_degree(v);
     put_u64(payload, offset);
   }
-  for (const VertexId neighbor : csr.neighbors) {
-    put_u64(payload, neighbor);
+  for (VertexId v = 0; v < n; ++v) {
+    for (const OutEdge& e : graph.out_edges(v)) {
+      put_u64(payload, e.to);
+    }
   }
-  for (const double weight : csr.weights) {
-    put_f64(payload, weight);
+  for (VertexId v = 0; v < n; ++v) {
+    for (const OutEdge& e : graph.out_edges(v)) {
+      put_f64(payload, e.weight);
+    }
   }
   return detail::frame(Kind::PreferenceGraph, kPreferenceGraphSchema, payload);
 }
@@ -490,16 +499,8 @@ Result<PreferenceGraph> decode_preference_graph(std::string_view bytes) {
   for (std::uint64_t e = 0; e < edge_count; ++e) {
     neighbors[e] = reader.take_u64();
   }
-  std::optional<PreferenceGraph> graph;
-  try {
-    // Dense n x n weight storage: even a payload-bounded n can exceed
-    // memory, and that must surface as a structured rejection, not a
-    // std::bad_alloc escaping the decoder.
-    graph.emplace(n);
-  } catch (const std::exception& e) {
-    out.error = bad_payload(e.what());
-    return out;
-  }
+  // O(n + m) storage, and n is bounded by the payload length above.
+  PreferenceGraph graph(n);
   for (std::uint64_t row = 0; row < n; ++row) {
     for (std::uint64_t e = row_ptr[row]; e < row_ptr[row + 1]; ++e) {
       const std::uint64_t to = neighbors[e];
@@ -516,7 +517,7 @@ Result<PreferenceGraph> decode_preference_graph(std::string_view bytes) {
         out.error = bad_payload("stored weight outside (0, 1]");
         return out;
       }
-      graph->set_weight(row, to, weight);
+      graph.set_weight(row, to, weight);
     }
   }
   if (reader.failed() || !reader.exhausted()) {

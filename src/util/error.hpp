@@ -49,10 +49,10 @@ namespace detail {
   } while (false)
 
 /// Debug-only contract check for per-element accessors on the inference hot
-/// path (Matrix::row, PreferenceGraph::weight, CSR neighbor scans). These
-/// fire on every inner-loop iteration, so Release builds compile them out;
-/// define CROWDRANK_DEBUG_CHECKS=1 (automatic when NDEBUG is absent) to
-/// keep them. API-level preconditions stay on CR_EXPECTS unconditionally.
+/// path (Matrix::row, PreferenceGraph::weight and out_edges row walks).
+/// These fire on every inner-loop iteration, so Release builds compile them
+/// out; define CROWDRANK_DEBUG_CHECKS=1 (automatic when NDEBUG is absent)
+/// to keep them. API-level preconditions stay on CR_EXPECTS unconditionally.
 #ifndef CROWDRANK_DEBUG_CHECKS
 #ifdef NDEBUG
 #define CROWDRANK_DEBUG_CHECKS 0

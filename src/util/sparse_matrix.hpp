@@ -62,7 +62,7 @@ class SparseMatrix {
   /// Builds from a dense matrix, storing exactly the entries != 0.0.
   static SparseMatrix from_dense(const Matrix& dense);
 
-  /// Builds from raw CSR arrays (e.g. a graph CsrAdjacency view): row r's
+  /// Builds from raw CSR arrays (e.g. a flattened graph adjacency): row r's
   /// entries are (col_idx[i], values[i]) for i in [row_ptr[r],
   /// row_ptr[r + 1]), columns strictly ascending, values nonzero.
   static SparseMatrix from_csr(std::size_t rows, std::size_t cols,

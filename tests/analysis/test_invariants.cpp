@@ -184,44 +184,6 @@ TEST(PreferenceGraphInvariant, AcceptsConsistentGraph) {
   EXPECT_NO_THROW(analysis::check_preference_graph(g));
 }
 
-TEST(CsrInvariant, FiresOnCorruptedWeight) {
-  const PreferenceGraph g = small_graph();
-  CsrAdjacency csr = g.out_csr();
-  csr.weights[0] += 0.05;  // no longer mirrors the dense matrix
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
-  EXPECT_TRUE(mentions(msg, "disagrees with dense weight")) << msg;
-}
-
-TEST(CsrInvariant, FiresOnUnsortedNeighbors) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.5);
-  g.set_weight(0, 2, 0.5);
-  CsrAdjacency csr = g.out_csr();
-  std::swap(csr.neighbors[0], csr.neighbors[1]);
-  std::swap(csr.weights[0], csr.weights[1]);
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
-  EXPECT_TRUE(mentions(msg, "ascending")) << msg;
-}
-
-TEST(CsrInvariant, FiresOnRowCountMismatch) {
-  const PreferenceGraph g = small_graph();
-  CsrAdjacency csr = g.out_csr();
-  csr.row_ptr[1] = 0;  // row 0 now claims zero out-edges
-  EXPECT_THROW(analysis::check_csr_consistency(g.weights(), csr),
-               analysis::InvariantError);
-}
-
-TEST(CsrInvariant, FiresOnTruncatedShape) {
-  const PreferenceGraph g = small_graph();
-  CsrAdjacency csr = g.out_csr();
-  csr.neighbors.pop_back();
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
-  EXPECT_TRUE(mentions(msg, "CSR shape")) << msg;
-}
-
 // -------------------------------------------- sparse propagation state
 // SparseMatrix::from_csr validates only what it can cheaply (shape,
 // column range) and trusts the rest of its contract — exactly the gap the

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "graph/scc.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank {
@@ -116,7 +123,7 @@ TEST(PreferenceGraph, FromMatrixRoundTrip) {
   const PreferenceGraph g = PreferenceGraph::from_matrix(m);
   EXPECT_DOUBLE_EQ(g.weight(0, 1), 0.8);
   EXPECT_DOUBLE_EQ(g.weight(2, 0), 1.0);
-  EXPECT_LT(Matrix::max_abs_diff(g.weights(), m), 1e-15);
+  EXPECT_LT(Matrix::max_abs_diff(g.to_dense(), m), 1e-15);
 }
 
 TEST(PreferenceGraph, FromMatrixValidates) {
@@ -134,71 +141,126 @@ TEST(PreferenceGraph, RejectsTinyGraphs) {
   EXPECT_THROW(PreferenceGraph(1), Error);
 }
 
-/// Reference CSR build: the plain row-major dense scan the amortized
-/// dirty-row rebuild must always agree with.
-CsrAdjacency full_scan_csr(const PreferenceGraph& g) {
-  const std::size_t n = g.vertex_count();
-  CsrAdjacency csr;
-  csr.row_ptr.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    csr.row_ptr[i] = csr.neighbors.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (g.weight(i, j) > 0.0) {
-        csr.neighbors.push_back(j);
-        csr.weights.push_back(g.weight(i, j));
-      }
+/// Reference model of the edge set: every set_weight mirrored into an
+/// ordered map, with weight 0 erasing the entry.
+using EdgeModel = std::map<std::pair<VertexId, VertexId>, double>;
+
+void set_both(PreferenceGraph& g, EdgeModel& model, VertexId from,
+              VertexId to, double weight) {
+  g.set_weight(from, to, weight);
+  if (weight == 0.0) {
+    model.erase({from, to});
+  } else {
+    model[{from, to}] = weight;
+  }
+}
+
+/// The rows, read back in row-major order, are exactly the model.
+void expect_rows_match(const PreferenceGraph& g, const EdgeModel& model) {
+  EdgeModel rows;
+  std::vector<std::pair<VertexId, VertexId>> order;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    for (const OutEdge& e : g.out_edges(v)) {
+      rows[{v, e.to}] = e.weight;
+      order.emplace_back(v, e.to);
     }
   }
-  csr.row_ptr[n] = csr.neighbors.size();
-  return csr;
+  EXPECT_EQ(rows, model);
+  // Strictly ascending: no pair is >= its successor.
+  EXPECT_EQ(std::adjacent_find(order.begin(), order.end(),
+                               std::greater_equal<>()),
+            order.end());
+  EXPECT_EQ(g.edge_count(), model.size());
 }
 
-void expect_csr_eq(const CsrAdjacency& actual, const CsrAdjacency& expected) {
-  EXPECT_EQ(actual.row_ptr, expected.row_ptr);
-  EXPECT_EQ(actual.neighbors, expected.neighbors);
-  EXPECT_EQ(actual.weights, expected.weights);
-}
-
-TEST(PreferenceGraphCsr, DirtyRowRebuildMatchesFullScan) {
+TEST(PreferenceGraphRows, ReflectAddUpdateAndErase) {
   PreferenceGraph g(10);
+  EdgeModel model;
   for (VertexId i = 0; i + 1 < 10; ++i) {
-    g.set_weight(i, i + 1, 0.8);
-    g.set_weight(i + 1, i, 0.2);
+    set_both(g, model, i, i + 1, 0.8);
+    set_both(g, model, i + 1, i, 0.2);
   }
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));  // first (full) build
+  expect_rows_match(g, model);
 
   // Touch a few rows between reads: add, update, and remove edges.
-  g.set_weight(3, 7, 0.5);   // new edge in a clean row
-  g.set_weight(4, 5, 0.65);  // update an existing edge's weight
-  g.set_weight(6, 5, 0.0);   // remove an edge
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
+  set_both(g, model, 3, 7, 0.5);   // new edge in the middle of a row
+  set_both(g, model, 4, 5, 0.65);  // update an existing edge's weight
+  set_both(g, model, 6, 5, 0.0);   // remove an edge
+  expect_rows_match(g, model);
+  EXPECT_FALSE(g.has_edge(6, 5));
 
-  // A second batch after the refresh, including a re-dirtied row.
-  g.set_weight(3, 7, 0.0);
-  g.set_weight(0, 9, 1.0);
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
+  // A second batch, including a row written again and an erased edge.
+  set_both(g, model, 3, 7, 0.0);
+  set_both(g, model, 0, 9, 1.0);
+  set_both(g, model, 2, 0, 0.3);  // insert ahead of the row's edges
+  expect_rows_match(g, model);
 }
 
-TEST(PreferenceGraphCsr, RepeatedReadsAfterMutationStayFresh) {
+TEST(PreferenceGraphRows, RepeatedReadsAfterMutationStayFresh) {
   // The smoothing workload: a handful of single-row writes between every
-  // read. Each out_csr() must reflect all mutations so far.
+  // read. Each read must reflect all mutations so far.
   PreferenceGraph g(6);
-  g.set_weight(0, 1, 1.0);
+  EdgeModel model;
+  set_both(g, model, 0, 1, 1.0);
   for (int round = 0; round < 5; ++round) {
     const auto v = static_cast<VertexId>(round + 1);
     if (v + 1 < 6) {
-      g.set_weight(v, v + 1, 0.5 + 0.05 * round);
+      set_both(g, model, v, v + 1, 0.5 + 0.05 * round);
     }
-    g.set_weight(0, 1, 1.0 - 0.1 * round);  // same row re-dirtied each round
-    expect_csr_eq(g.out_csr(), full_scan_csr(g));
+    set_both(g, model, 0, 1, 1.0 - 0.1 * round);  // same row every round
+    expect_rows_match(g, model);
   }
 }
 
-TEST(PreferenceGraphCsr, MutationBeforeFirstBuildTakesFullScanPath) {
+TEST(PreferenceGraphRows, ErasingAnAbsentEdgeIsANoOp) {
   PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.9);  // no CSR exists yet: nothing to mark dirty
-  g.set_weight(2, 3, 0.4);
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
+  EdgeModel model;
+  set_both(g, model, 0, 1, 0.9);
+  set_both(g, model, 2, 3, 0.4);
+  set_both(g, model, 1, 0, 0.0);  // never stored
+  set_both(g, model, 2, 1, 0.0);  // row has entries, but not this one
+  expect_rows_match(g, model);
+  set_both(g, model, 0, 1, 0.0);
+  expect_rows_match(g, model);
+  EXPECT_TRUE(g.out_edges(0).empty());
+}
+
+TEST(PreferenceGraph, LargeSparseGraphStaysLinear) {
+  // 2^17 vertices: a dense n x n store would need 128 GiB. Vertices
+  // 0 .. kRing - 1 form a bidirectional ring; `sink` is an in-node fed by
+  // ring vertex 0, `source` an out-node feeding ring vertex 1.
+  constexpr std::size_t kN = std::size_t{1} << 17;
+  constexpr std::size_t kRing = kN - 2;
+  const VertexId sink = kN - 2;
+  const VertexId source = kN - 1;
+  PreferenceGraph g(kN);
+  for (VertexId v = 0; v < kRing; ++v) {
+    const VertexId next = (v + 1) % kRing;
+    g.set_weight(v, next, 0.75);
+    g.set_weight(next, v, v == 0 ? 1.0 : 0.25);
+  }
+  g.set_weight(0, sink, 0.5);
+  g.set_weight(source, 1, 0.5);
+
+  EXPECT_EQ(g.edge_count(), 2 * kRing + 2);
+  EXPECT_EQ(g.in_nodes(), std::vector<VertexId>{sink});
+  EXPECT_EQ(g.out_nodes(), std::vector<VertexId>{source});
+  EXPECT_TRUE(g.is_in_node(sink));
+  EXPECT_TRUE(g.is_out_node(source));
+  EXPECT_EQ(g.one_edges(),
+            (std::vector<std::pair<VertexId, VertexId>>{{1, 0}}));
+  EXPECT_FALSE(g.is_complete());
+  EXPECT_FALSE(g.is_strongly_connected());
+  // The ring is one component; sink and source are singletons.
+  EXPECT_EQ(strongly_connected_components(g).count(), 3u);
+
+  // Closing the in/out-nodes into the ring makes the whole graph one SCC.
+  g.set_weight(sink, 0, 0.5);
+  g.set_weight(1, source, 0.5);
+  EXPECT_TRUE(g.in_nodes().empty());
+  EXPECT_TRUE(g.out_nodes().empty());
+  EXPECT_TRUE(g.is_strongly_connected());
+  EXPECT_EQ(strongly_connected_components(g).count(), 1u);
 }
 
 }  // namespace

@@ -372,6 +372,26 @@ TEST(ArtifactReject, HugeDeclaredVertexCountIsRejectedNotAllocated) {
             ErrorCode::BadPayload);
 }
 
+TEST(Artifact, LargeEdgelessPreferenceGraphDecodesInLinearMemory) {
+  // A validly framed, edgeless graph on 2^16 vertices: the payload is
+  // n + 3 u64s (about 512 KiB), and decoding it must cost O(n + m) memory,
+  // not an n x n weight store (32 GiB here).
+  constexpr std::uint64_t kN = std::uint64_t{1} << 16;
+  std::string payload = u64le(kN) + u64le(0);
+  for (std::uint64_t r = 0; r <= kN; ++r) {
+    payload += u64le(0);
+  }
+  const std::string bytes =
+      detail::frame(Kind::PreferenceGraph, kPreferenceGraphSchema, payload);
+  const Result<PreferenceGraph> back = decode_preference_graph(bytes);
+  ASSERT_TRUE(back.ok()) << back.error.to_string();
+  EXPECT_EQ(back.value->vertex_count(), kN);
+  EXPECT_EQ(back.value->edge_count(), 0u);
+  EXPECT_TRUE(back.value->in_nodes().empty());
+  EXPECT_TRUE(back.value->out_nodes().empty());
+  EXPECT_EQ(encode(*back.value), bytes);
+}
+
 TEST(ArtifactReject, BadDirectionByte) {
   // Validly framed vote record whose direction byte is neither 0 nor 1.
   std::string payload(8 + 25, '\0');
