@@ -22,6 +22,7 @@
 // util: primitives every layer shares
 #include "util/build_info.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/matrix.hpp"
@@ -37,7 +38,6 @@
 // postmortems) consumed by `crowdrank serve --telemetry` / `crowdrank top`
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 // graph: preference graphs, closures, Hamiltonian search

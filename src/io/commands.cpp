@@ -23,7 +23,6 @@
 #include "metrics/kendall.hpp"
 #include "metrics/spearman.hpp"
 #include "metrics/topk.hpp"
-#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "service/api.hpp"
 #include "service/artifact.hpp"
@@ -31,6 +30,7 @@
 #include "service/service.hpp"
 #include "util/build_info.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 
@@ -737,20 +737,20 @@ std::string telemetry_file(const std::string& arg) {
 
 /// Parses every complete snapshot line. A malformed line is skipped, not
 /// fatal: the exporter may be mid-append while we read (tail semantics).
-std::vector<obs::JsonValue> load_snapshots(const std::string& path) {
+std::vector<JsonValue> load_snapshots(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) {
     throw Error("cannot open telemetry file '" + path + "'");
   }
-  std::vector<obs::JsonValue> snapshots;
+  std::vector<JsonValue> snapshots;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;
     }
     try {
-      obs::JsonValue value = obs::parse_json(line);
-      if (value.kind == obs::JsonValue::Kind::Object) {
+      JsonValue value = parse_json(line);
+      if (value.kind == JsonValue::Kind::Object) {
         snapshots.push_back(std::move(value));
       }
     } catch (const Error&) {
@@ -760,8 +760,8 @@ std::vector<obs::JsonValue> load_snapshots(const std::string& path) {
   return snapshots;
 }
 
-void render_top(const std::vector<obs::JsonValue>& snapshots,
-                std::size_t rows, std::ostream& out) {
+void render_top(const std::vector<JsonValue>& snapshots, std::size_t rows,
+                std::ostream& out) {
   const auto as_count = [](double v) {
     return std::to_string(static_cast<std::uint64_t>(v));
   };
@@ -772,13 +772,13 @@ void render_top(const std::vector<obs::JsonValue>& snapshots,
   const std::size_t first =
       snapshots.size() > rows ? snapshots.size() - rows : 0;
   for (std::size_t i = first; i < snapshots.size(); ++i) {
-    const obs::JsonValue& s = snapshots[i];
-    const obs::JsonValue* window = s.find("window");
-    const obs::JsonValue* gauges = s.find("gauges");
+    const JsonValue& s = snapshots[i];
+    const JsonValue* window = s.find("window");
+    const JsonValue* gauges = s.find("gauges");
     double p50 = 0.0;
     double p99 = 0.0;
-    if (const obs::JsonValue* histograms = s.find("histograms")) {
-      if (const obs::JsonValue* job = histograms->find("service.job_ms")) {
+    if (const JsonValue* histograms = s.find("histograms")) {
+      if (const JsonValue* job = histograms->find("service.job_ms")) {
         p50 = job->number_at("p50", 0.0);
         p99 = job->number_at("p99", 0.0);
       }
@@ -799,10 +799,10 @@ void render_top(const std::vector<obs::JsonValue>& snapshots,
   }
   history.print_aligned(out);
 
-  const obs::JsonValue& latest = snapshots.back();
+  const JsonValue& latest = snapshots.back();
 
   // Outcome counters of the latest snapshot, one summary line.
-  if (const obs::JsonValue* counters = latest.find("counters")) {
+  if (const JsonValue* counters = latest.find("counters")) {
     const std::string outcome_prefix = "service.outcome.";
     bool any = false;
     for (const auto& [name, value] : counters->members) {
@@ -820,7 +820,7 @@ void render_top(const std::vector<obs::JsonValue>& snapshots,
   }
 
   // Per-stage latency ladder of the latest snapshot.
-  if (const obs::JsonValue* histograms = latest.find("histograms")) {
+  if (const JsonValue* histograms = latest.find("histograms")) {
     TableWriter stages({"stage", "count", "p50_ms", "p99_ms", "total_ms"});
     const std::string stage_prefix = "service.stage_ms.";
     for (const auto& [name, value] : histograms->members) {
@@ -852,7 +852,7 @@ int cmd_top(const std::vector<std::string>& argv, std::ostream& out) {
 
   bool rendered = false;
   while (true) {
-    const std::vector<obs::JsonValue> snapshots = load_snapshots(path);
+    const std::vector<JsonValue> snapshots = load_snapshots(path);
     if (follow) {
       out << "\x1b[2J\x1b[H";  // clear + home between refreshes
     }

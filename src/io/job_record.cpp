@@ -1,158 +1,42 @@
 #include "io/job_record.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace crowdrank::io {
 
 namespace {
 
-/// Scalar value of the flat-JSON reader: strings stay quoted-decoded,
-/// numbers/booleans keep their raw token for typed conversion later.
-struct JsonScalar {
-  bool is_string = false;
-  std::string text;
-};
-
-void skip_ws(const std::string& line, std::size_t& pos) {
-  while (pos < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[pos])) != 0) {
-    ++pos;
-  }
-}
-
 [[noreturn]] void fail(std::size_t line_number, const std::string& what) {
   throw Error("jobs line " + std::to_string(line_number) + ": " + what);
 }
 
-std::string parse_json_string(const std::string& line, std::size_t& pos,
-                              std::size_t line_number) {
-  if (pos >= line.size() || line[pos] != '"') {
-    fail(line_number, "expected '\"'");
-  }
-  ++pos;
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    char c = line[pos];
-    if (c == '\\') {
-      ++pos;
-      if (pos >= line.size()) {
-        fail(line_number, "unterminated escape");
-      }
-      switch (line[pos]) {
-        case '"': c = '"'; break;
-        case '\\': c = '\\'; break;
-        case '/': c = '/'; break;
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        default:
-          fail(line_number, std::string("unsupported escape '\\") +
-                                line[pos] + "'");
-      }
-    }
-    out.push_back(c);
-    ++pos;
-  }
-  if (pos >= line.size()) {
-    fail(line_number, "unterminated string");
-  }
-  ++pos;  // closing quote
-  return out;
-}
-
-/// Parses one flat JSON object line into key -> scalar. No nesting.
-std::map<std::string, JsonScalar> parse_flat_object(
-    const std::string& line, std::size_t line_number) {
-  std::map<std::string, JsonScalar> fields;
-  std::size_t pos = 0;
-  skip_ws(line, pos);
-  if (pos >= line.size() || line[pos] != '{') {
-    fail(line_number, "expected '{'");
-  }
-  ++pos;
-  skip_ws(line, pos);
-  if (pos < line.size() && line[pos] == '}') {
-    ++pos;
-  } else {
-    while (true) {
-      skip_ws(line, pos);
-      const std::string key = parse_json_string(line, pos, line_number);
-      skip_ws(line, pos);
-      if (pos >= line.size() || line[pos] != ':') {
-        fail(line_number, "expected ':' after key \"" + key + "\"");
-      }
-      ++pos;
-      skip_ws(line, pos);
-      JsonScalar value;
-      if (pos < line.size() && line[pos] == '"') {
-        value.is_string = true;
-        value.text = parse_json_string(line, pos, line_number);
-      } else {
-        const std::size_t start = pos;
-        while (pos < line.size() && line[pos] != ',' && line[pos] != '}' &&
-               std::isspace(static_cast<unsigned char>(line[pos])) == 0) {
-          ++pos;
-        }
-        value.text = line.substr(start, pos - start);
-        if (value.text.empty()) {
-          fail(line_number, "missing value for key \"" + key + "\"");
-        }
-      }
-      if (!fields.emplace(key, value).second) {
-        fail(line_number, "duplicate key \"" + key + "\"");
-      }
-      skip_ws(line, pos);
-      if (pos < line.size() && line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < line.size() && line[pos] == '}') {
-        ++pos;
-        break;
-      }
-      fail(line_number, "expected ',' or '}'");
-    }
-  }
-  skip_ws(line, pos);
-  if (pos != line.size()) {
-    fail(line_number, "trailing content after '}'");
-  }
-  return fields;
-}
-
-std::uint64_t to_uint(const JsonScalar& value, const std::string& key,
-                      std::size_t line_number) {
-  if (value.is_string) {
+std::uint64_t to_uint64(const JsonValue& value, const std::string& key,
+                        std::size_t line_number) {
+  if (!value.is_number()) {
     fail(line_number, "key \"" + key + "\" must be a number");
   }
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(
-      value.text.data(), value.text.data() + value.text.size(), out);
-  if (ec != std::errc() || ptr != value.text.data() + value.text.size()) {
+  const std::optional<std::uint64_t> out = value.as_uint64();
+  if (!out.has_value()) {
     fail(line_number, "key \"" + key + "\": invalid integer '" +
-                          value.text + "'");
+                          value.string + "'");
   }
-  return out;
+  return *out;
 }
 
-void append_json_string(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
+/// The string value of `key`, or a line error carrying `what`.
+const std::string& string_value(const JsonValue& value,
+                                std::size_t line_number,
+                                const std::string& what) {
+  if (!value.is_string()) {
+    fail(line_number, what);
   }
-  os << '"';
+  return value.string;
 }
 
 }  // namespace
@@ -164,54 +48,49 @@ std::vector<JobRecord> parse_job_records(const std::string& text) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    std::size_t pos = 0;
-    skip_ws(line, pos);
-    if (pos == line.size()) {
+    if (line.find_first_not_of(" \t\n\v\f\r") == std::string::npos) {
       continue;  // blank line
     }
-    const auto fields = parse_flat_object(line, line_number);
+    JsonValue object;
+    try {
+      object = parse_json(line);
+    } catch (const Error& e) {
+      fail(line_number, e.what());
+    }
+    if (!object.is_object()) {
+      fail(line_number, "expected '{'");
+    }
     JobRecord record;
     record.id = records.size() + 1;  // 1-based line ordinal by default
-    for (const auto& [key, value] : fields) {
+    for (const auto& [key, value] : object.members) {
       if (key == "id") {
-        record.id = to_uint(value, key, line_number);
+        record.id = to_uint64(value, key, line_number);
       } else if (key == "votes") {
-        if (!value.is_string) {
-          fail(line_number, "key \"votes\" must be a string path");
-        }
-        record.votes_path = value.text;
+        record.votes_path = string_value(
+            value, line_number, "key \"votes\" must be a string path");
       } else if (key == "object_count") {
-        record.object_count = to_uint(value, key, line_number);
+        record.object_count = to_uint64(value, key, line_number);
       } else if (key == "worker_count") {
-        record.worker_count = to_uint(value, key, line_number);
+        record.worker_count = to_uint64(value, key, line_number);
       } else if (key == "seed") {
-        record.seed = to_uint(value, key, line_number);
+        record.seed = to_uint64(value, key, line_number);
       } else if (key == "search") {
-        if (!value.is_string) {
-          fail(line_number, "key \"search\" must be a string");
-        }
-        record.search = value.text;
+        record.search = string_value(value, line_number,
+                                     "key \"search\" must be a string");
       } else if (key == "saps_iterations") {
-        record.saps_iterations = to_uint(value, key, line_number);
+        record.saps_iterations = to_uint64(value, key, line_number);
       } else if (key == "deadline_ms") {
-        record.deadline_ms = to_uint(value, key, line_number);
+        record.deadline_ms = to_uint64(value, key, line_number);
       } else if (key == "fail_before") {
-        if (!value.is_string) {
-          fail(line_number, "key \"fail_before\" must be a stage name");
+        record.fail_before = string_value(
+            value, line_number, "key \"fail_before\" must be a stage name");
+        if (!stage_from_name(record.fail_before).has_value()) {
+          fail(line_number, "key \"fail_before\": unknown stage '" +
+                                record.fail_before + "'");
         }
-        if (!stage_from_name(value.text).has_value()) {
-          fail(line_number,
-               "key \"fail_before\": unknown stage '" + value.text + "'");
-        }
-        record.fail_before = value.text;
       } else if (key == "fail_reason") {
-        if (!value.is_string) {
-          fail(line_number, "key \"fail_reason\" must be a string");
-        }
-        record.fail_reason = value.text;
+        record.fail_reason = string_value(
+            value, line_number, "key \"fail_reason\" must be a string");
       } else {
         fail(line_number, "unknown key \"" + key + "\"");
       }
@@ -227,7 +106,7 @@ std::vector<JobRecord> parse_job_records(const std::string& text) {
 std::string format_job_record(const JobRecord& record) {
   std::ostringstream os;
   os << "{\"id\": " << record.id << ", \"votes\": ";
-  append_json_string(os, record.votes_path);
+  write_json_string(os, record.votes_path);
   if (record.object_count > 0) {
     os << ", \"object_count\": " << record.object_count;
   }
@@ -235,7 +114,7 @@ std::string format_job_record(const JobRecord& record) {
     os << ", \"worker_count\": " << record.worker_count;
   }
   os << ", \"seed\": " << record.seed << ", \"search\": ";
-  append_json_string(os, record.search);
+  write_json_string(os, record.search);
   if (record.saps_iterations > 0) {
     os << ", \"saps_iterations\": " << record.saps_iterations;
   }
@@ -244,10 +123,10 @@ std::string format_job_record(const JobRecord& record) {
   }
   if (!record.fail_before.empty()) {
     os << ", \"fail_before\": ";
-    append_json_string(os, record.fail_before);
+    write_json_string(os, record.fail_before);
     if (!record.fail_reason.empty()) {
       os << ", \"fail_reason\": ";
-      append_json_string(os, record.fail_reason);
+      write_json_string(os, record.fail_reason);
     }
   }
   os << "}";
@@ -258,12 +137,12 @@ std::string format_job_result(const service::JobResult& result,
                               bool include_ranking) {
   std::ostringstream os;
   os << "{\"id\": " << result.id << ", \"outcome\": ";
-  append_json_string(os, service::outcome_name(result.outcome));
+  write_json_string(os, service::outcome_name(result.outcome));
   os << ", \"stage\": ";
-  append_json_string(os, stage_name(result.stage));
+  write_json_string(os, stage_name(result.stage));
   if (!result.reason.empty()) {
     os << ", \"reason\": ";
-    append_json_string(os, result.reason);
+    write_json_string(os, result.reason);
   }
   const service::HardeningReport& h = result.hardening;
   os << ", \"input_votes\": " << h.input_votes

@@ -11,9 +11,11 @@
 // the outcome, stage, degradation counts, timing, and (when ranked) the
 // ranking itself — machine-readable end to end.
 //
-// The parser is a deliberately minimal flat-JSON reader (string, integer,
-// and boolean values; no nesting) so the CLI carries no JSON dependency;
-// malformed lines fail loudly with their line number.
+// Each line goes through the shared JSON reader (util/json.hpp) and must
+// be an object of known keys with typed values; integers are exact
+// unsigned 64-bit. Malformed lines fail loudly with their line number.
+// Strings are written with the shared escaper, so every emitted line is
+// strict JSON even when a path or reason holds control bytes.
 #pragma once
 
 #include <cstddef>

@@ -1,77 +1,30 @@
 #include "obs/exposition.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <string_view>
-#include <variant>
+
+#include "util/json.hpp"
 
 namespace crowdrank::obs {
 
 namespace {
 
-/// Shortest round-trippable decimal, JSON- and Prometheus-safe (matches
-/// the RunReport exporter's rendering so numbers diff cleanly across
-/// formats). Non-finite values serialize as null / NaN respectively at
-/// the call sites that can see them; samples here are always finite.
+/// Prometheus sample value: the same "%.17g" digits as the JSON writer so
+/// numbers diff cleanly across formats. Samples here are always finite.
 void number(std::ostream& os, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   os << buf;
 }
 
-void attr_value(std::ostream& os, const trace::AttrValue& value);
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void attr_value(std::ostream& os, const trace::AttrValue& value) {
-  if (const auto* i = std::get_if<std::int64_t>(&value)) {
-    os << *i;
-  } else if (const auto* d = std::get_if<double>(&value)) {
-    number(os, *d);
-  } else if (const auto* b = std::get_if<bool>(&value)) {
-    os << (*b ? "true" : "false");
-  } else {
-    json_string(os, std::get<std::string>(value));
-  }
-}
-
 void event_json(std::ostream& os, const Event& e) {
   os << "{\"t_us\": ";
-  number(os, e.t_us);
+  write_json_number(os, e.t_us);
   os << ", \"kind\": ";
-  json_string(os, event_kind_name(e.kind));
+  write_json_string(os, event_kind_name(e.kind));
   os << ", \"job\": " << e.job_id << ", \"code\": "
      << static_cast<unsigned>(e.code) << ", \"value\": ";
-  number(os, e.value);
+  write_json_number(os, e.value);
   os << '}';
 }
 
@@ -131,37 +84,37 @@ void write_snapshot_json(std::ostream& os,
                          const TelemetrySnapshot& snapshot) {
   os << "{\"v\": " << kSnapshotSchemaVersion
      << ", \"seq\": " << snapshot.seq << ", \"t_us\": ";
-  number(os, snapshot.t_us);
+  write_json_number(os, snapshot.t_us);
 
   os << ", \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, snapshot.counters[i].first);
+    write_json_string(os, snapshot.counters[i].first);
     os << ": " << snapshot.counters[i].second;
   }
   os << "}, \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, snapshot.gauges[i].first);
+    write_json_string(os, snapshot.gauges[i].first);
     os << ": ";
-    number(os, snapshot.gauges[i].second);
+    write_json_number(os, snapshot.gauges[i].second);
   }
 
   os << "}, \"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& [name, snap] = snapshot.histograms[i];
     if (i > 0) os << ", ";
-    json_string(os, name);
+    write_json_string(os, name);
     os << ": {\"count\": " << snap.count << ", \"sum\": ";
-    number(os, snap.sum);
+    write_json_number(os, snap.sum);
     os << ", \"min\": ";
-    number(os, snap.count > 0 ? snap.min : 0.0);
+    write_json_number(os, snap.count > 0 ? snap.min : 0.0);
     os << ", \"max\": ";
-    number(os, snap.count > 0 ? snap.max : 0.0);
+    write_json_number(os, snap.count > 0 ? snap.max : 0.0);
     os << ", \"p50\": ";
-    number(os, snap.quantile(0.50));
+    write_json_number(os, snap.quantile(0.50));
     os << ", \"p99\": ";
-    number(os, snap.quantile(0.99));
+    write_json_number(os, snap.quantile(0.99));
     os << ", \"buckets\": [";
     bool first = true;
     for (std::size_t b = 0; b < snap.buckets.size(); ++b) {
@@ -169,16 +122,16 @@ void write_snapshot_json(std::ostream& os,
       if (!first) os << ", ";
       first = false;
       os << '[';
-      number(os, metrics::Histogram::bucket_upper_bound(b));
+      write_json_number(os, metrics::Histogram::bucket_upper_bound(b));
       os << ", " << snap.buckets[b] << ']';
     }
     os << "]}";
   }
 
   os << "}, \"window\": {\"jobs_per_sec\": ";
-  number(os, snapshot.window.jobs_per_sec);
+  write_json_number(os, snapshot.window.jobs_per_sec);
   os << ", \"window_ms\": ";
-  number(os, snapshot.window.window_ms);
+  write_json_number(os, snapshot.window.window_ms);
   os << ", \"finished\": " << snapshot.window.finished;
 
   os << "}, \"events_recorded\": " << snapshot.events_recorded
@@ -194,26 +147,26 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
   os << "{\n  \"v\": " << kSnapshotSchemaVersion
      << ",\n  \"job\": " << postmortem.job_id
      << ",\n  \"executor\": " << postmortem.executor << ",\n  \"outcome\": ";
-  json_string(os, postmortem.outcome);
+  write_json_string(os, postmortem.outcome);
   os << ",\n  \"stage\": ";
-  json_string(os, postmortem.stage);
+  write_json_string(os, postmortem.stage);
   os << ",\n  \"reason\": ";
-  json_string(os, postmortem.reason);
+  write_json_string(os, postmortem.reason);
   os << ",\n  \"t_us\": ";
-  number(os, postmortem.t_us);
+  write_json_number(os, postmortem.t_us);
 
   os << ",\n  \"config\": {";
   for (std::size_t i = 0; i < postmortem.config_echo.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, postmortem.config_echo[i].first);
+    write_json_string(os, postmortem.config_echo[i].first);
     os << ": ";
-    attr_value(os, postmortem.config_echo[i].second);
+    trace::write_json_attr(os, postmortem.config_echo[i].second);
   }
 
   os << "},\n  \"hardening\": {";
   for (std::size_t i = 0; i < postmortem.hardening.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, postmortem.hardening[i].first);
+    write_json_string(os, postmortem.hardening[i].first);
     os << ": " << postmortem.hardening[i].second;
   }
 
@@ -222,11 +175,11 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
     const trace::SpanRecord& span = postmortem.spans[i];
     if (i > 0) os << ',';
     os << "\n    {\"name\": ";
-    json_string(os, span.name);
+    write_json_string(os, span.name);
     os << ", \"start_us\": ";
-    number(os, span.start_us);
+    write_json_number(os, span.start_us);
     os << ", \"dur_us\": ";
-    number(os, span.dur_us);
+    write_json_number(os, span.dur_us);
     os << ", \"tid\": " << span.tid << ", \"parent\": ";
     if (span.parent == trace::SpanRecord::kNoParent) {
       os << -1;
@@ -236,9 +189,9 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
     os << ", \"attrs\": {";
     for (std::size_t a = 0; a < span.attrs.size(); ++a) {
       if (a > 0) os << ", ";
-      json_string(os, span.attrs[a].first);
+      write_json_string(os, span.attrs[a].first);
       os << ": ";
-      attr_value(os, span.attrs[a].second);
+      trace::write_json_attr(os, span.attrs[a].second);
     }
     os << "}}";
   }

@@ -49,6 +49,10 @@ namespace crowdrank::trace {
 /// bools/ints stay typed rather than stringified.
 using AttrValue = std::variant<std::int64_t, double, bool, std::string>;
 
+/// Writes one attribute value as JSON: ints and bools as literals,
+/// doubles and strings through the util/json writer.
+void write_json_attr(std::ostream& os, const AttrValue& value);
+
 /// One finished (or still-open) span as stored by the sink.
 struct SpanRecord {
   std::string name;

@@ -461,6 +461,14 @@ TEST(Cli, TopReportsMissingAndEmptyTelemetry) {
   EXPECT_EQ(run({"top", "--telemetry", dir.file("empty.jsonl")}, &out,
                 &err),
             2);
+  // A line nested far past the reader's depth cap is skipped like any
+  // other unreadable line, not a crash.
+  {
+    std::ofstream deep(dir.file("deep.jsonl"));
+    deep << std::string(4'000'000, '[') << "\n";
+  }
+  EXPECT_EQ(run({"top", "--telemetry", dir.file("deep.jsonl")}, &out, &err),
+            2);
 }
 
 TEST(Cli, IndexThenQueryServesFromArtifacts) {

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace crowdrank::io {
 namespace {
@@ -14,9 +19,10 @@ TEST(JobRecord, ParsesFullAndMinimalLines) {
       "\"worker_count\": 12, \"seed\": 7, \"search\": \"taps\", "
       "\"saps_iterations\": 400, \"deadline_ms\": 250}\n"
       "\n"
-      "{\"votes\": \"b.csv\"}\n";
+      "{\"votes\": \"b.csv\"}\n"
+      "{\"votes\": \"c.csv\", \"seed\": 18446744073709551615}\r\n";
   const auto records = parse_job_records(text);
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].id, 9u);
   EXPECT_EQ(records[0].votes_path, "a.csv");
   EXPECT_EQ(records[0].object_count, 50u);
@@ -30,6 +36,8 @@ TEST(JobRecord, ParsesFullAndMinimalLines) {
   EXPECT_EQ(records[1].votes_path, "b.csv");
   EXPECT_EQ(records[1].search, "saps");
   EXPECT_EQ(records[1].seed, 1u);
+  // Integers are exact over the whole unsigned 64-bit range.
+  EXPECT_EQ(records[2].seed, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(JobRecord, MalformedLinesFailWithLineNumber) {
@@ -48,6 +56,15 @@ TEST(JobRecord, MalformedLinesFailWithLineNumber) {
   expect_error("{\"votes\": \"a.csv\", \"bogus\": 1}\n", "unknown key");
   expect_error("{\"votes\": \"a.csv\", \"seed\": \"x\"}\n",
                "must be a number");
+  expect_error("{\"votes\": \"a.csv\", \"seed\": \"7\"}\n",
+               "must be a number");
+  for (const char* not_uint : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    expect_error(std::string("{\"votes\": \"a.csv\", \"seed\": ") +
+                     not_uint + "}\n",
+                 "invalid integer '" + std::string(not_uint) + "'");
+  }
+  expect_error("[\"votes\", \"a.csv\"]\n", "line 1: expected '{'");
+  expect_error(std::string(1'000'000, '[') + "\n", "line 1");
   expect_error("{\"votes\": 5}\n", "must be a string path");
   expect_error("{\"votes\": \"a.csv\", \"votes\": \"b.csv\"}\n",
                "duplicate key");
@@ -98,6 +115,30 @@ TEST(JobRecord, FaultInjectionFieldsParseValidateAndRoundTrip) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].fail_before, record.fail_before);
   EXPECT_EQ(parsed[0].fail_reason, record.fail_reason);
+}
+
+TEST(JobRecord, ControlBytesRoundTripThroughStrictJson) {
+  JobRecord record;
+  record.votes_path = "dir\x01/v\tx\x1f.csv";
+  record.fail_before = "rank_search";
+  record.fail_reason = "line\nbreak\r\x07" "bell";
+  const std::string line = format_job_record(record);
+  for (const char c : line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << line;
+  }
+  const auto parsed = parse_job_records(line + "\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].votes_path, record.votes_path);
+  EXPECT_EQ(parsed[0].fail_reason, record.fail_reason);
+
+  service::JobResult failed;
+  failed.id = 6;
+  failed.outcome = service::JobOutcome::Failed;
+  failed.stage = PipelineStage::RankSearch;
+  failed.reason = record.fail_reason;
+  const JsonValue result = parse_json(format_job_result(failed));
+  EXPECT_EQ(result.string_at("reason"), failed.reason);
+  EXPECT_EQ(result.string_at("outcome"), "failed");
 }
 
 TEST(JobRecord, FormatsStructuredResults) {

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 
 namespace crowdrank::obs {

@@ -15,8 +15,8 @@
 
 #include "core/checkpoint.hpp"
 #include "crowd/vote.hpp"
-#include "obs/json.hpp"
 #include "service/service.hpp"
+#include "util/json.hpp"
 
 namespace crowdrank::obs {
 namespace {

@@ -39,6 +39,17 @@ quietly break that promise, so this script bans them in src/:
                     the discipline; the wrapper's own internals carry the
                     sanctioned lint:allow escapes.
 
+  json-outside-json-module
+                    a hand-rolled JSON string escaper or parser in src/
+                    outside util/json.*: a backslash char literal ('\\',
+                    the heart of any escape or unescape loop), a literal
+                    writing an escaped quote ("\\\""), or a \\u%04x
+                    control-byte format. util/json.* holds the one reader
+                    and the one writer every JSON surface shares, so the
+                    mutation test covers every JSON byte the program
+                    reads and one escaping rule covers every byte it
+                    writes.
+
 Two rules are scoped to a subtree rather than all of src/:
 
   fs-write-in-service    opening, writing, renaming, or deleting files from
@@ -140,6 +151,11 @@ RAW_INTRINSICS_ALLOWED_FILES = (
 RAW_INTRINSICS_RE = re.compile(
     r"immintrin\.h|\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:128|256|512)\w*\b"
 )
+
+# JSON choke point: escaping and unescaping live only in util/json.*.
+# Matched on the raw line, because the signatures are literals.
+JSON_MODULE_FILES = ("src/util/json.hpp", "src/util/json.cpp")
+JSON_SYNTAX_RE = re.compile(r"""'\\\\'|"\\\\\\""|\\\\u%0?4[xX]""")
 
 # Sparse-first guard for the propagation stage. Construction-with-args and
 # dense materialization only: `Matrix m;` declarations and assignments from
@@ -248,6 +264,12 @@ def lint_lines(path: str, lines: list[str]) -> list[tuple[str, int, str, str]]:
                 and "raw-intrinsics" not in allow
                 and RAW_INTRINSICS_RE.search(code)):
             findings.append((path, lineno, "raw-intrinsics", raw.strip()))
+        if (path not in JSON_MODULE_FILES
+                and "json-outside-json-module" not in allow
+                and JSON_SYNTAX_RE.search(raw)):
+            findings.append(
+                (path, lineno, "json-outside-json-module", raw.strip())
+            )
         if (path.startswith(FS_WRITE_DIR)
                 and path not in FS_WRITE_ALLOWED_FILES
                 and "fs-write-in-service" not in allow
@@ -387,6 +409,12 @@ SELF_TEST_BAD = [
      ["  Matrix dense = Matrix::zero(n, n);"]),
     ("dense-in-propagation", DENSE_IN_PROPAGATION_FILE,
      ["  auto d = sparse.to_dense();"]),
+    ("json-outside-json-module", "src/obs/exposition.cpp",
+     ["      case '\"': os << \"\\\\\\\"\"; break;"]),
+    ("json-outside-json-module", "src/io/job_record.cpp",
+     ["    if (c == '\\\\') {"]),
+    ("json-outside-json-module", "src/util/trace.cpp",
+     ['std::snprintf(buf, sizeof(buf), "\\\\u%04x", c);']),
     ("fs-write-in-service", "src/service/result_cache.cpp",
      ["std::ofstream out(path, std::ios::binary);"]),
     ("fs-write-in-service", "src/service/service.cpp",
@@ -423,6 +451,12 @@ SELF_TEST_GOOD = [
      ["simd::axpy(out.data(), x.data(), a, n);"]),
     ("dense-in-propagation", DENSE_IN_PROPAGATION_FILE,
      ["Matrix propagate(const SparseMatrix& m) {"]),
+    # The JSON module is the sanctioned escaping site; callers use it.
+    ("json-outside-json-module", "src/util/json.cpp",
+     ["      case '\"': os << \"\\\\\\\"\"; break;"]),
+    ("json-outside-json-module", "src/obs/exposition.cpp",
+     ["  write_json_string(os, name);",
+      "os << \"{\\\"t_us\\\": \";"]),
     # The artifact module is the sanctioned persistence site.
     ("fs-write-in-service", "src/service/artifact.cpp",
      ["std::ofstream out(tmp, std::ios::binary | std::ios::trunc);"]),
@@ -486,6 +520,7 @@ def run_self_test() -> int:
     all_rules = set(RULES) | {
         "unordered-iter", "dense-in-propagation", "fs-write-in-service",
         "raw-intrinsics", "engine-outside-facade", "submodule-include",
+        "json-outside-json-module",
     }
     for rule in sorted(all_rules - covered):
         cases.append(("coverage %s" % rule, False,
