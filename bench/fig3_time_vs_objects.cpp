@@ -49,7 +49,7 @@ void run() {
         const ExperimentResult r = run_experiment(config);
         return std::vector<std::string>{
             std::to_string(cell.n), to_string(cell.dist),
-            TableWriter::fmt(r.inference.timings.total_seconds()),
+            TableWriter::fmt(r.inference.timings.total_ms() / 1e3),
             TableWriter::fmt(r.accuracy)};
       });
 

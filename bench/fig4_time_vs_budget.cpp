@@ -49,11 +49,11 @@ void run() {
         const auto& t = result.inference.timings;
         return std::vector<std::string>{
             to_string(cell.dist), TableWriter::fmt(cell.r, 1),
-            TableWriter::fmt(t.total_seconds()),
-            TableWriter::fmt(t.seconds("step1_truth_discovery")),
-            TableWriter::fmt(t.seconds("step2_smoothing")),
-            TableWriter::fmt(t.seconds("step3_propagation")),
-            TableWriter::fmt(t.seconds("step4_find_best_ranking")),
+            TableWriter::fmt(t.total_ms() / 1e3),
+            TableWriter::fmt(t[PipelineStage::TruthDiscovery] / 1e3),
+            TableWriter::fmt(t[PipelineStage::Smoothing] / 1e3),
+            TableWriter::fmt(t[PipelineStage::Propagation] / 1e3),
+            TableWriter::fmt(t[PipelineStage::RankSearch] / 1e3),
             std::to_string(result.inference.one_edge_count),
             TableWriter::fmt(result.accuracy)};
       });

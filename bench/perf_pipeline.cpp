@@ -58,7 +58,7 @@ namespace {
 struct StageTimes {
   double experiment_ms = 0.0;  ///< whole run_experiment wall time
   double total_ms = 0.0;       ///< inference only (sum of the four steps)
-  PhaseTimer timings;
+  StepTimes timings;
   std::vector<VertexId> ranking;
   double accuracy = 0.0;
   PropagationStats step3;
@@ -82,7 +82,7 @@ StageTimes run_config(const ExperimentConfig& config) {
   StageTimes out;
   out.experiment_ms = watch.elapsed_millis();
   out.timings = r.inference.timings;
-  out.total_ms = out.timings.total_seconds() * 1e3;
+  out.total_ms = out.timings.total_ms();
   const auto order = r.inference.ranking.order();
   out.ranking.assign(order.begin(), order.end());
   out.accuracy = r.accuracy;
@@ -495,8 +495,8 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     config.selection_ratio = 16.0 / static_cast<double>(spec.n - 1);
     config.inference.propagation.spectral_horizon = spec.horizon;
     const StageTimes t = run_config(config);
-    const double step2_ms = t.timings.seconds("step2_smoothing") * 1e3;
-    const double step3_ms = t.timings.seconds("step3_propagation") * 1e3;
+    const double step2_ms = t.timings[PipelineStage::Smoothing];
+    const double step3_ms = t.timings[PipelineStage::Propagation];
     const double gflop = static_cast<double>(t.step3.sparse_flops) / 1e9;
     const bool expect_sparse = spec.horizon <= 4;
     if (expect_sparse != (t.step3.densify_step == 0)) {
@@ -539,7 +539,7 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     run.note("sparse_flops",
              static_cast<std::int64_t>(t.step3.sparse_flops));
     run.note("accuracy", t.accuracy);
-    run.capture(t.timings);
+    run.capture_phases(StepTimes::kPhaseNames, t.timings.ms);
   }
   std::cout << "\n-- large n (degree-16 budget, sparse-first doubling) --\n";
   bench::emit(table);
@@ -552,7 +552,7 @@ void capture_run(trace::RunReport& report, const std::string& label,
   run.note("experiment_ms", t.experiment_ms);
   run.note("inference_ms", t.total_ms);
   run.note("accuracy", t.accuracy);
-  run.capture(t.timings);
+  run.capture_phases(StepTimes::kPhaseNames, t.timings.ms);
 }
 
 void run() {
@@ -612,7 +612,7 @@ void run() {
     par.note("accuracy", parallel.accuracy);
     par.note("speedup", speedup);
     par.note("rankings_match", match);
-    par.capture(parallel.timings);
+    par.capture_phases(StepTimes::kPhaseNames, parallel.timings.ms);
   }
   report.note("rankings_match", all_match);
 

@@ -11,11 +11,17 @@
 //
 // Checkpoints run on the coordinating thread, never inside a parallel
 // region, so a throwing checkpoint unwinds without wedging the pool.
+//
+// Each checkpoint is also the one timing boundary between two stages:
+// step times and the service's per-stage telemetry are differences of the
+// boundary readings.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string_view>
+
+#include "util/timer.hpp"
 
 namespace crowdrank {
 
@@ -43,11 +49,24 @@ const char* stage_name(PipelineStage stage);
 /// serve CLI to accept stage names in jobs files (fault injection).
 std::optional<PipelineStage> stage_from_name(std::string_view name);
 
+/// Number of engine steps (TruthDiscovery through RankSearch).
+inline constexpr std::size_t kEngineSteps = 4;
+
+/// Position of an engine step in a per-step array: TruthDiscovery -> 0
+/// ... RankSearch -> 3.
+constexpr std::size_t step_index(PipelineStage stage) {
+  return static_cast<std::size_t>(stage) -
+         static_cast<std::size_t>(PipelineStage::TruthDiscovery);
+}
+
 /// What the pipeline has produced when a checkpoint fires. `next` is the
 /// stage about to start (Done once the ranking exists); the pointers fill
 /// in as stages complete and stay valid only for the checkpoint call.
 struct StageSnapshot {
   PipelineStage next = PipelineStage::TruthDiscovery;
+  /// The boundary reading: the stage before `next` ended and `next`
+  /// began at this time. Never decreases from one checkpoint to the next.
+  TimePoint at;
   const TruthDiscoveryResult* truth = nullptr;  ///< after Step 1
   const PreferenceGraph* smoothed = nullptr;    ///< after Step 2
   const Matrix* closure = nullptr;              ///< after Step 3

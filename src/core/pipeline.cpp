@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <utility>
 
@@ -41,6 +42,29 @@ std::optional<PipelineStage> stage_from_name(std::string_view name) {
         PipelineStage::Done}) {
     if (name == stage_name(stage)) {
       return stage;
+    }
+  }
+  return std::nullopt;
+}
+
+const char* search_name(RankSearchMethod method) {
+  switch (method) {
+    case RankSearchMethod::Saps:
+      return "saps";
+    case RankSearchMethod::Taps:
+      return "taps";
+    case RankSearchMethod::HeldKarp:
+      return "heldkarp";
+  }
+  return "unknown";
+}
+
+std::optional<RankSearchMethod> search_from_name(std::string_view name) {
+  for (const RankSearchMethod method :
+       {RankSearchMethod::Saps, RankSearchMethod::Taps,
+        RankSearchMethod::HeldKarp}) {
+    if (name == search_name(method)) {
+      return method;
     }
   }
   return std::nullopt;
@@ -198,19 +222,24 @@ InferenceResult InferenceEngine::infer_impl(
     root.set_attr("workers", worker_count);
     root.set_attr("votes", votes.size());
     root.set_attr("threads", thread_count());
-    root.set_attr("search", config_.search == RankSearchMethod::Saps ? "saps"
-                            : config_.search == RankSearchMethod::Taps
-                                ? "taps"
-                                : "held_karp");
+    root.set_attr("search", search_name(config_.search));
   }
 
   // Cooperative stage checkpoints: fire before every stage (and once with
   // Done) so a controller can deadline/cancel the run between stages. The
-  // snapshot pointers fill in as stages complete.
+  // snapshot pointers fill in as stages complete. The one clock read per
+  // boundary ends the step before `next` and starts `next`.
   StageSnapshot snapshot;
   const auto checkpoint = [&](PipelineStage next) {
+    const TimePoint at =
+        std::chrono::steady_clock::now();  // lint:allow(clock-in-core)
+    if (next != PipelineStage::TruthDiscovery) {
+      result.timings.ms[step_index(next) - 1] =
+          millis_between(snapshot.at, at);
+    }
+    snapshot.next = next;
+    snapshot.at = at;
     if (config_.control != nullptr) {
-      snapshot.next = next;
       config_.control->checkpoint(snapshot);
     }
   };
@@ -219,13 +248,13 @@ InferenceResult InferenceEngine::infer_impl(
   checkpoint(PipelineStage::TruthDiscovery);
   TruthDiscoveryResult step1;
   {
-    trace::StepScope phase(result.timings, "step1_truth_discovery");
+    trace::Span span("step1_truth_discovery");
     step1 = discover_truth(votes, object_count, worker_count,
                            config_.truth_discovery);
-    if (phase.span().active()) {
-      phase.span().set_attr("iterations", step1.iterations);
-      phase.span().set_attr("converged", step1.converged);
-      phase.span().set_attr("tasks", step1.truths.size());
+    if (span.active()) {
+      span.set_attr("iterations", step1.iterations);
+      span.set_attr("converged", step1.converged);
+      span.set_attr("tasks", step1.truths.size());
     }
   }
   if (validate) {
@@ -246,21 +275,20 @@ InferenceResult InferenceEngine::infer_impl(
   }
 
   // Step 2: preference smoothing of the 1-edges. `direct` outlives the
-  // timed scope so the validators can diff it against the smoothed graph.
+  // span's scope so the validators can diff it against the smoothed graph.
   PreferenceGraph smoothed(object_count);
   PreferenceGraph direct(object_count);
   {
-    trace::StepScope phase(result.timings, "step2_smoothing");
+    trace::Span span("step2_smoothing");
     direct = step1.to_preference_graph(object_count);
     result.one_edge_count = direct.one_edges().size();
     smoothed = smooth_preferences(direct, step1, task_workers,
                                   config_.smoothing, &rng, &result.step2);
-    if (phase.span().active()) {
-      phase.span().set_attr("one_edges", result.one_edge_count);
-      phase.span().set_attr("one_edges_smoothed",
-                            result.step2.one_edges_smoothed);
-      phase.span().set_attr("strongly_connected_after",
-                            result.step2.strongly_connected_after);
+    if (span.active()) {
+      span.set_attr("one_edges", result.one_edge_count);
+      span.set_attr("one_edges_smoothed", result.step2.one_edges_smoothed);
+      span.set_attr("strongly_connected_after",
+                    result.step2.strongly_connected_after);
     }
   }
   if (validate) {
@@ -274,19 +302,18 @@ InferenceResult InferenceEngine::infer_impl(
   // Step 3: transitive propagation into a complete, normalized closure.
   Matrix closure;
   {
-    trace::StepScope phase(result.timings, "step3_propagation");
+    trace::Span span("step3_propagation");
     closure = propagate_preferences(smoothed, config_.propagation,
                                     &result.step3);
-    if (phase.span().active()) {
-      phase.span().set_attr("pairs_without_evidence",
-                            result.step3.pairs_without_evidence);
-      phase.span().set_attr("complete", result.step3.complete);
+    if (span.active()) {
+      span.set_attr("pairs_without_evidence",
+                    result.step3.pairs_without_evidence);
+      span.set_attr("complete", result.step3.complete);
       if (config_.propagation.mode == PropagationMode::SpectralLimit) {
-        phase.span().set_attr("fill_ratio", result.step3.fill_ratio);
-        phase.span().set_attr("densify_step", result.step3.densify_step);
-        phase.span().set_attr("doubling_steps",
-                              result.step3.doubling_steps);
-        phase.span().set_attr("sparse_flops", result.step3.sparse_flops);
+        span.set_attr("fill_ratio", result.step3.fill_ratio);
+        span.set_attr("densify_step", result.step3.densify_step);
+        span.set_attr("doubling_steps", result.step3.doubling_steps);
+        span.set_attr("sparse_flops", result.step3.sparse_flops);
       }
     }
   }
@@ -298,7 +325,7 @@ InferenceResult InferenceEngine::infer_impl(
 
   // Step 4: find the best ranking (max-probability Hamiltonian path).
   {
-    trace::StepScope phase(result.timings, "step4_find_best_ranking");
+    trace::Span span("step4_find_best_ranking");
     switch (config_.search) {
       case RankSearchMethod::Saps: {
         const SapsResult saps = saps_search(closure, config_.saps, rng);
@@ -321,8 +348,8 @@ InferenceResult InferenceEngine::infer_impl(
         break;
       }
     }
-    if (phase.span().active()) {
-      phase.span().set_attr("log_probability", result.log_probability);
+    if (span.active()) {
+      span.set_attr("log_probability", result.log_probability);
     }
   }
   if (validate) {

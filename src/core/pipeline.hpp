@@ -6,10 +6,12 @@
 // crowdsourcing round — which is what the benches and examples exercise.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -24,7 +26,6 @@
 #include "crowd/simulator.hpp"
 #include "crowd/vote.hpp"
 #include "metrics/ranking.hpp"
-#include "util/timer.hpp"
 
 namespace crowdrank {
 
@@ -50,6 +51,13 @@ enum class RankSearchMethod {
   Taps,      ///< threshold-based exact search (small n)
   HeldKarp,  ///< bitmask-DP exact search (n <= 20; test oracle)
 };
+
+/// Stable search name: "saps", "taps", "heldkarp". The spelling the CLI
+/// and jobs files accept is the one outputs echo.
+const char* search_name(RankSearchMethod method);
+
+/// Inverse of `search_name`: nullopt for an unknown name.
+std::optional<RankSearchMethod> search_from_name(std::string_view name);
 
 /// Full configuration of the result-inference pipeline.
 struct InferenceConfig {
@@ -92,16 +100,32 @@ struct InferenceConfig {
   std::vector<ConfigError> validate() const;
 };
 
-/// Everything the pipeline learned, with per-step timings (Fig. 4's
-/// breakdown uses phases "step1_truth_discovery", "step2_smoothing",
-/// "step3_propagation", "step4_find_best_ranking").
+/// Wall time of each engine step (paper Fig. 4) in milliseconds, indexed
+/// by step_index(). A step runs from the checkpoint boundary that enters
+/// it to the one that leaves it (core/checkpoint.hpp), so the four steps
+/// add up to the engine's wall time with no gaps.
+struct StepTimes {
+  std::array<double, kEngineSteps> ms{};
+
+  /// The step span names and RunReport `phases_ms` keys, in step order.
+  static constexpr std::array<const char*, kEngineSteps> kPhaseNames{
+      "step1_truth_discovery", "step2_smoothing", "step3_propagation",
+      "step4_find_best_ranking"};
+
+  double operator[](PipelineStage stage) const {
+    return ms[step_index(stage)];
+  }
+  double total_ms() const { return ms[0] + ms[1] + ms[2] + ms[3]; }
+};
+
+/// Everything the pipeline learned, with per-step timings.
 struct InferenceResult {
   Ranking ranking;                ///< the aggregated full ranking
   double log_probability = 0.0;   ///< log Pr of the chosen Hamiltonian path
   TruthDiscoveryResult step1;
   SmoothingStats step2;
   PropagationStats step3;
-  PhaseTimer timings;
+  StepTimes timings;
   std::size_t one_edge_count = 0;  ///< 1-edges before smoothing
   /// Step 3's pair-normalized closure (n x n). Downstream consumers build
   /// on it: core/confidence.hpp annotates the ranking's boundaries,

@@ -120,16 +120,16 @@ WorkerPoolConfig parse_quality(const Args& args) {
   return config;
 }
 
-RankSearchMethod search_from_name(const std::string& method) {
-  if (method == "saps") return RankSearchMethod::Saps;
-  if (method == "taps") return RankSearchMethod::Taps;
-  if (method == "heldkarp") return RankSearchMethod::HeldKarp;
+RankSearchMethod require_search(const std::string& method) {
+  if (const auto parsed = search_from_name(method)) {
+    return *parsed;
+  }
   throw Error("search method must be saps, taps, or heldkarp (got '" +
               method + "')");
 }
 
 RankSearchMethod parse_search(const Args& args) {
-  return search_from_name(args.get_string("search", "saps"));
+  return require_search(args.get_string("search", "saps"));
 }
 
 /// Batch shape shared by infer / diagnose / index / query: n and m come
@@ -336,7 +336,7 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
     run.note("truth_discovery_iterations",
              static_cast<std::int64_t>(result.step1.iterations));
     run.capture(*sink);
-    run.capture(result.timings);
+    run.capture_phases(StepTimes::kPhaseNames, result.timings.ms);
     CR_EXPECTS(report.write_file(metrics_path),
                "cannot write --metrics output file");
     out << "wrote " << metrics_path << "\n";
@@ -558,7 +558,12 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
       load_job_records(args.require_string("jobs"));
   CR_EXPECTS(!records.empty(), "jobs file contains no jobs");
 
-  trace::TraceSink sink;
+  // The sink keeps every job's spans for the whole batch, so it exists
+  // only when an output reads it (postmortems embed a job's spans).
+  std::unique_ptr<trace::TraceSink> sink;
+  if (args.has("trace") || args.has("metrics") || args.has("telemetry")) {
+    sink = std::make_unique<trace::TraceSink>();
+  }
   service::ServiceConfig config;
   config.worker_count = args.get_size("service-workers", 1);
   config.queue_capacity = args.get_size("queue-capacity", records.size());
@@ -573,7 +578,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   config.default_deadline =
       std::chrono::milliseconds(args.get_size("deadline-ms", 0));
   config.check_invariants = args.flag("check-invariants");
-  config.trace = &sink;
+  config.trace = sink.get();
 
   // The live telemetry plane (--telemetry DIR): periodic JSONL +
   // Prometheus snapshots while the batch runs, plus per-job postmortems.
@@ -608,7 +613,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   // same sink as the process-global one here additionally captures the
   // engine's internal step spans (the sink is thread-safe and parentage
   // is per-thread, so concurrent jobs interleave without corruption).
-  const trace::ScopedSink scoped(&sink);
+  const trace::ScopedSink scoped(sink.get());
 
   // Jobs whose votes file cannot be read still get a structured Failed
   // line instead of aborting the whole batch. `slots` maps each record to
@@ -622,7 +627,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
       service::RankingJob job;
       try {
         job.votes = load_votes(record.votes_path);
-        job.inference.search = search_from_name(record.search);
+        job.inference.search = require_search(record.search);
       } catch (const std::exception& e) {
         results[slot].id = record.id;
         results[slot].outcome = service::JobOutcome::Failed;
@@ -701,7 +706,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   if (args.has("trace")) {
     std::ofstream os(args.value("trace"));
     CR_EXPECTS(os.good(), "cannot open --trace output file");
-    sink.write_chrome_trace(os);
+    sink->write_chrome_trace(os);
     out << "wrote " << args.value("trace") << "\n";
   }
   if (args.has("metrics")) {
@@ -715,7 +720,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
     for (const auto& [name, count] : outcome_counts) {
       run.note("outcome_" + name, static_cast<std::int64_t>(count));
     }
-    run.capture(sink);
+    run.capture(*sink);
     CR_EXPECTS(report.write_file(args.value("metrics")),
                "cannot write --metrics output file");
     out << "wrote " << args.value("metrics") << "\n";

@@ -157,7 +157,8 @@ std::string format_job_result(const service::JobResult& result,
   const bool ranked = result.outcome == service::JobOutcome::Completed ||
                       result.outcome == service::JobOutcome::Degraded;
   if (ranked) {
-    os << ", \"log_probability\": " << result.log_probability;
+    os << ", \"log_probability\": ";
+    write_json_number(os, result.log_probability);
     if (include_ranking) {
       os << ", \"ranking\": [";
       for (std::size_t p = 0; p < result.ranking.order.size(); ++p) {
@@ -167,8 +168,11 @@ std::string format_job_result(const service::JobResult& result,
       os << "]";
     }
   }
-  os << ", \"queue_ms\": " << result.queue_ms
-     << ", \"run_ms\": " << result.run_ms << "}";
+  os << ", \"queue_ms\": ";
+  write_json_number(os, result.queue_ms);
+  os << ", \"run_ms\": ";
+  write_json_number(os, result.run_ms);
+  os << "}";
   return os.str();
 }
 

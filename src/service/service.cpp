@@ -74,40 +74,44 @@ void mutate_votes(VoteBatch& votes, const FaultPlan& plan,
   }
 }
 
-/// Cooperative per-job controller: records progress, stalls/fails on an
-/// injected fault, and aborts on cancellation or an expired deadline.
-/// Checkpoint order — stall, cancel, deadline, injected failure — makes
-/// the stall+deadline combination a deterministic TimedOut.
+/// Cooperative per-job controller: records progress, emits per-stage
+/// telemetry, stalls/fails on an injected fault, and aborts on
+/// cancellation or an expired deadline. Checkpoint order — stall, cancel,
+/// deadline, injected failure — makes the stall+deadline combination a
+/// deterministic TimedOut.
 class JobControl final : public StageControl {
  public:
   JobControl(const std::atomic<bool>& cancel_requested,
              Clock::time_point deadline,
              std::vector<const FaultPlan*> faults,
              obs::Telemetry* telemetry, std::size_t executor,
-             std::uint64_t job_id)
+             std::uint64_t job_id, TimePoint job_start)
       : cancel_requested_(cancel_requested),
         deadline_(deadline),
         faults_(std::move(faults)),
         telemetry_(telemetry),
         executor_(executor),
-        job_id_(job_id) {}
+        job_id_(job_id),
+        boundary_(job_start) {}
 
   void checkpoint(const StageSnapshot& snapshot) override {
+    // The boundary reading ends the stage before `next`: Hardening (begun
+    // at the job-start reading) at the first, then the engine steps, each
+    // with the engine's own step time. Telemetry is observe-only.
+    if (telemetry_ != nullptr) {
+      const auto ended = static_cast<PipelineStage>(
+          static_cast<std::uint8_t>(snapshot.next) - 1);
+      telemetry_->on_stage_checkpoint(
+          executor_, job_id_, stage_name(ended),
+          static_cast<std::uint8_t>(ended),
+          millis_between(boundary_, snapshot.at));
+    }
+    boundary_ = snapshot.at;
     poll(snapshot.next);
   }
 
   /// Service-level stages (Hardening) poll directly with the stage id.
   void poll(PipelineStage next) {
-    // Each checkpoint fires when the previous stage has just completed,
-    // so the watch spans exactly one stage. Telemetry is observe-only.
-    if (telemetry_ != nullptr && next != timed_stage_) {
-      telemetry_->on_stage_checkpoint(
-          executor_, job_id_, stage_name(timed_stage_),
-          static_cast<std::uint8_t>(timed_stage_),
-          stage_watch_.elapsed_millis());
-      stage_watch_.restart();
-      timed_stage_ = next;
-    }
     if (next != PipelineStage::Done) {
       last_stage_ = next;
     }
@@ -141,24 +145,9 @@ class JobControl final : public StageControl {
   std::size_t executor_;
   std::uint64_t job_id_;
   PipelineStage last_stage_ = PipelineStage::Validation;
-  /// Stage currently being timed; the first poll (Hardening) matches it,
-  /// so the first emission covers Hardening, not construction overhead.
-  PipelineStage timed_stage_ = PipelineStage::Hardening;
-  Stopwatch stage_watch_;
+  /// Reading that started the stage now running.
+  TimePoint boundary_;
 };
-
-/// Names for the config echo of a postmortem.
-const char* search_method_name(RankSearchMethod method) {
-  switch (method) {
-    case RankSearchMethod::Saps:
-      return "saps";
-    case RankSearchMethod::Taps:
-      return "taps";
-    case RankSearchMethod::HeldKarp:
-      return "held_karp";
-  }
-  return "unknown";
-}
 
 /// The spans recorded under `root` (inclusive), re-parented so `root`
 /// becomes the subtree's own root. Works on a snapshot: a span belongs to
@@ -345,10 +334,10 @@ struct RankingService::Impl {
   void run_job(Ticket& ticket, std::size_t executor) {
     JobResult& r = ticket.result;
     r.id = ticket.id;
-    const Stopwatch run_watch;
-    r.queue_ms = std::chrono::duration<double, std::milli>(
-                     Clock::now() - ticket.submit_time)
-                     .count();
+    // The job-start reading: queue time ends and run time and the
+    // Hardening stage begin here.
+    const TimePoint start = Clock::now();
+    r.queue_ms = millis_between(ticket.submit_time, start);
 
     obs::Telemetry* telemetry = config.telemetry;
     if (telemetry != nullptr) {
@@ -377,7 +366,7 @@ struct RankingService::Impl {
     }
 
     JobControl control(ticket.cancel_requested, ticket.deadline_point,
-                       faults, telemetry, executor, ticket.id);
+                       faults, telemetry, executor, ticket.id, start);
     try {
       // Service stage: input hardening (plus injected vote mutations).
       control.poll(PipelineStage::Hardening);
@@ -466,7 +455,7 @@ struct RankingService::Impl {
       r.stage = control.last_stage();
       r.reason = "unknown exception";
     }
-    r.run_ms = run_watch.elapsed_millis();
+    r.run_ms = millis_between(start, Clock::now());
 
     if (sink != nullptr) {
       sink->span_attr(span, "outcome", std::string(outcome_name(r.outcome)));
@@ -517,7 +506,7 @@ struct RankingService::Impl {
         {"object_count", static_cast<std::int64_t>(job.object_count)},
         {"worker_count", static_cast<std::int64_t>(job.worker_count)},
         {"votes", static_cast<std::int64_t>(job.votes.size())},
-        {"search", std::string(search_method_name(job.inference.search))},
+        {"search", std::string(search_name(job.inference.search))},
         {"check_invariants",
          job.inference.check_invariants || config.check_invariants},
         {"deadline_ms", static_cast<std::int64_t>(job.deadline.count())},

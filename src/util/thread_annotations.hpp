@@ -19,8 +19,9 @@
 //    flight-recorder seqlock (src/obs/flight_recorder.hpp) stays on raw
 //    atomics with explicit memory_order arguments and a documented
 //    protocol comment; its runtime witness is the torn-read test.
-//  * Constructors/destructors are not analyzed, and conditional or
-//    address-ordered double locking (PhaseTimer::operator=) cannot be
+//  * Constructors/destructors are not analyzed, and conditional locking
+//    or locking that TSA cannot see (CondVar::wait adopting the lock into
+//    the wrapped std::condition_variable, util/mutex.hpp) cannot be
 //    expressed — such functions carry CR_NO_THREAD_SAFETY_ANALYSIS with a
 //    comment explaining why the discipline holds anyway.
 #pragma once

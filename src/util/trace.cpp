@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "util/build_info.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace crowdrank::trace {
@@ -252,10 +253,12 @@ void RunReport::Run::capture(const TraceSink& sink) {
   series_ = m.all_series();
 }
 
-void RunReport::Run::capture(const PhaseTimer& timer) {
+void RunReport::Run::capture_phases(std::span<const char* const> names,
+                                    std::span<const double> ms) {
+  CR_EXPECTS(names.size() == ms.size(), "one time per phase name");
   phases_ms_.clear();
-  for (const std::string& phase : timer.phases()) {
-    phases_ms_.emplace_back(phase, timer.seconds(phase) * 1e3);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    phases_ms_.emplace_back(names[i], ms[i]);
   }
 }
 

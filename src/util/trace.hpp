@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -41,7 +42,6 @@
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/timer.hpp"
 
 namespace crowdrank::trace {
 
@@ -156,26 +156,6 @@ class Span {
   std::size_t index_ = 0;
 };
 
-/// Span that also feeds a PhaseTimer on destruction, preserving the
-/// pipeline's historical Fig.-4 per-step totals (same phase names, same
-/// Stopwatch measurement) while adding the span to the trace.
-class StepScope {
- public:
-  StepScope(PhaseTimer& timer, const char* phase)
-      : span_(phase), timer_(timer), phase_(phase) {}
-  StepScope(const StepScope&) = delete;
-  StepScope& operator=(const StepScope&) = delete;
-  ~StepScope() { timer_.add(phase_, watch_.elapsed_seconds()); }
-
-  Span& span() { return span_; }
-
- private:
-  Span span_;  // declared first: closes (member dtor) after the timer feed
-  PhaseTimer& timer_;
-  const char* phase_;
-  Stopwatch watch_;
-};
-
 /// Metric handles on the active sink, or nullptr when tracing is off.
 /// Idiom: resolve once at function/stage entry, then guard updates with
 /// `if (h) h->...`. The name-lookup cost (one mutex + map) is paid only
@@ -199,7 +179,7 @@ using NoteValue = std::variant<std::int64_t, double, bool, std::string>;
 /// Builder for the run-report JSON. Stamped with build info (generated
 /// version.hpp) at construction; `note()` echoes config scalars;
 /// `add_run()` opens a labeled run section that can capture a TraceSink
-/// (spans + metrics) and a PhaseTimer (per-stage totals).
+/// (spans + metrics) and named per-phase times.
 class RunReport {
  public:
   class Run {
@@ -209,8 +189,10 @@ class RunReport {
     void note(const std::string& key, NoteValue value);
     /// Snapshots the sink's spans, counters, gauges, histograms, series.
     void capture(const TraceSink& sink);
-    /// Snapshots per-phase totals (milliseconds).
-    void capture(const PhaseTimer& timer);
+    /// Replaces the run's `phases_ms` with `ms[i]` under `names[i]`, in
+    /// order (the engine's step times under their Fig.-4 phase names).
+    void capture_phases(std::span<const char* const> names,
+                        std::span<const double> ms);
 
    private:
     friend class RunReport;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "metrics/kendall.hpp"
 #include "util/error.hpp"
 
@@ -64,13 +66,61 @@ TEST(Pipeline, BiggerBudgetHelps) {
 
 TEST(Pipeline, PhaseTimingsCoverAllFourSteps) {
   const ExperimentResult r = run_experiment(base_config());
-  const auto& phases = r.inference.timings.phases();
+  const auto& phases = StepTimes::kPhaseNames;
   ASSERT_EQ(phases.size(), 4u);
-  EXPECT_EQ(phases[0], "step1_truth_discovery");
-  EXPECT_EQ(phases[1], "step2_smoothing");
-  EXPECT_EQ(phases[2], "step3_propagation");
-  EXPECT_EQ(phases[3], "step4_find_best_ranking");
-  EXPECT_GT(r.inference.timings.total_seconds(), 0.0);
+  EXPECT_STREQ(phases[0], "step1_truth_discovery");
+  EXPECT_STREQ(phases[1], "step2_smoothing");
+  EXPECT_STREQ(phases[2], "step3_propagation");
+  EXPECT_STREQ(phases[3], "step4_find_best_ranking");
+  EXPECT_GT(r.inference.timings.total_ms(), 0.0);
+}
+
+/// Records every checkpoint the engine fires.
+class RecordingControl final : public StageControl {
+ public:
+  void checkpoint(const StageSnapshot& snapshot) override {
+    stages.push_back(snapshot.next);
+    readings.push_back(snapshot.at);
+  }
+  std::vector<PipelineStage> stages;
+  std::vector<TimePoint> readings;
+};
+
+TEST(Pipeline, StepTimesAreTheDifferencesOfTheBoundaryReadings) {
+  RecordingControl control;
+  auto config = base_config();
+  config.inference.control = &control;
+  const ExperimentResult r = run_experiment(config);
+
+  const std::vector<PipelineStage> expected{
+      PipelineStage::TruthDiscovery, PipelineStage::Smoothing,
+      PipelineStage::Propagation, PipelineStage::RankSearch,
+      PipelineStage::Done};
+  ASSERT_EQ(control.stages, expected);
+  ASSERT_EQ(control.readings.size(), kEngineSteps + 1);
+  for (std::size_t i = 0; i < kEngineSteps; ++i) {
+    EXPECT_LE(control.readings[i], control.readings[i + 1]);
+    // Exactly: the engine and any controller derive a step's time from
+    // the same two readings with the same formula.
+    EXPECT_EQ(millis_between(control.readings[i], control.readings[i + 1]),
+              r.inference.timings.ms[i])
+        << StepTimes::kPhaseNames[i];
+    EXPECT_EQ(r.inference.timings[control.stages[i]],
+              r.inference.timings.ms[i]);
+  }
+}
+
+TEST(Pipeline, SearchNamesRoundTrip) {
+  for (const RankSearchMethod method :
+       {RankSearchMethod::Saps, RankSearchMethod::Taps,
+        RankSearchMethod::HeldKarp}) {
+    const auto parsed = search_from_name(search_name(method));
+    ASSERT_TRUE(parsed.has_value()) << search_name(method);
+    EXPECT_EQ(*parsed, method);
+  }
+  EXPECT_STREQ(search_name(RankSearchMethod::HeldKarp), "heldkarp");
+  EXPECT_FALSE(search_from_name("held_karp").has_value());
+  EXPECT_FALSE(search_from_name("").has_value());
 }
 
 TEST(Pipeline, DiagnosticsAreConsistent) {

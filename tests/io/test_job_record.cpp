@@ -141,6 +141,20 @@ TEST(JobRecord, ControlBytesRoundTripThroughStrictJson) {
   EXPECT_EQ(result.string_at("outcome"), "failed");
 }
 
+TEST(JobRecord, ResultNumbersRoundTripBitForBit) {
+  service::JobResult result;
+  result.id = 3;
+  result.outcome = service::JobOutcome::Completed;
+  result.stage = PipelineStage::Done;
+  result.log_probability = -38.887512345678901;  // 17 significant digits
+  result.queue_ms = 0.12345678901234567;
+  result.run_ms = 12.345678901234567;
+  const JsonValue parsed = parse_json(format_job_result(result));
+  EXPECT_EQ(parsed.number_at("log_probability"), result.log_probability);
+  EXPECT_EQ(parsed.number_at("queue_ms"), result.queue_ms);
+  EXPECT_EQ(parsed.number_at("run_ms"), result.run_ms);
+}
+
 TEST(JobRecord, FormatsStructuredResults) {
   service::JobResult result;
   result.id = 4;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -249,6 +250,40 @@ TEST(TelemetryTest, ServiceEmitsOnePostmortemPerFailedTerminalOutcome) {
     saw_job = saw_job || e.number_at("job") == 1.0;
   }
   EXPECT_TRUE(saw_job);
+}
+
+TEST(TelemetryTest, ColdCompletedJobRecordsEachStageExactlyOnce) {
+  const TempDir dir;
+  Telemetry telemetry(manual_config(dir), /*executor_count=*/1);
+  service::ServiceConfig config;
+  config.worker_count = 1;
+  config.telemetry = &telemetry;
+  service::JobResult result;
+  {
+    service::RankingService svc(config);
+    result = svc.wait(svc.submit(clean_job()));
+  }
+  ASSERT_EQ(result.outcome, service::JobOutcome::Completed);
+  ASSERT_FALSE(result.served_from_cache);
+
+  const std::string prefix = "service.stage_ms.";
+  std::map<std::string, std::uint64_t> counts;
+  double stage_total_ms = 0.0;
+  for (const auto& [name, snapshot] : telemetry.registry().histograms()) {
+    if (name.rfind(prefix, 0) == 0) {
+      counts[name.substr(prefix.size())] = snapshot.count;
+      stage_total_ms += snapshot.sum;
+    }
+  }
+  const std::map<std::string, std::uint64_t> expected{
+      {"hardening", 1},   {"truth_discovery", 1}, {"smoothing", 1},
+      {"propagation", 1}, {"rank_search", 1},
+  };
+  EXPECT_EQ(counts, expected);
+  // The stages tile the run from the job-start reading to the engine's
+  // last boundary, so together they fit inside run_ms.
+  EXPECT_GT(stage_total_ms, 0.0);
+  EXPECT_LE(stage_total_ms, result.run_ms + 1e-9);
 }
 
 TEST(TelemetryTest, RankingsAreBitwiseIdenticalWithTelemetryOnOrOff) {

@@ -65,7 +65,10 @@ TEST_P(PipelineInvariants, HoldAcrossTheGrid) {
   EXPECT_LE(r.accuracy, 1.0);
 
   // 8. Timings exist for all four steps.
-  EXPECT_EQ(r.inference.timings.phases().size(), 4u);
+  for (const double ms : r.inference.timings.ms) {
+    EXPECT_GE(ms, 0.0);
+  }
+  EXPECT_GT(r.inference.timings.total_ms(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 // Unit tests for error contracts, table rendering, timers, and logging.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
 
@@ -80,31 +81,12 @@ TEST(Timer, StopwatchAdvances) {
   EXPECT_GT(w.elapsed_millis(), 0.0);
 }
 
-TEST(Timer, PhaseTimerAccumulatesInOrder) {
-  PhaseTimer t;
-  t.add("step1", 1.0);
-  t.add("step2", 2.0);
-  t.add("step1", 0.5);
-  EXPECT_DOUBLE_EQ(t.seconds("step1"), 1.5);
-  EXPECT_DOUBLE_EQ(t.seconds("step2"), 2.0);
-  EXPECT_DOUBLE_EQ(t.seconds("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 3.5);
-  ASSERT_EQ(t.phases().size(), 2u);
-  EXPECT_EQ(t.phases()[0], "step1");
-  EXPECT_EQ(t.phases()[1], "step2");
-  t.clear();
-  EXPECT_TRUE(t.phases().empty());
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(Timer, ScopedPhaseRecordsOnExit) {
-  PhaseTimer t;
-  {
-    ScopedPhase p(t, "scope");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 10000; ++i) sink = sink + 1.0;
-  }
-  EXPECT_GT(t.seconds("scope"), 0.0);
+TEST(Timer, MillisBetweenIsTheSignedDifferenceInMilliseconds) {
+  const TimePoint t0{};
+  const TimePoint t1 = t0 + std::chrono::microseconds(1500);
+  EXPECT_DOUBLE_EQ(millis_between(t0, t1), 1.5);
+  EXPECT_DOUBLE_EQ(millis_between(t1, t0), -1.5);
+  EXPECT_EQ(millis_between(t1, t1), 0.0);
 }
 
 TEST(Logging, LevelGating) {

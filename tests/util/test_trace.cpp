@@ -23,7 +23,6 @@
 
 #include "util/build_info.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -310,29 +309,6 @@ TEST_F(TraceTest, SpanAttributesAreRecordedWithTheirTypes) {
   EXPECT_EQ(std::get<std::string>(spans[0].attrs[3].second), "hello");
 }
 
-TEST_F(TraceTest, StepScopeFeedsThePhaseTimerIdenticallyToScopedPhase) {
-  PhaseTimer timer;
-  trace::TraceSink sink;
-  {
-    trace::ScopedSink scoped(&sink);
-    trace::StepScope scope(timer, "step1_truth_discovery");
-  }
-  // Same phase name lands in the timer whether or not tracing is on, so
-  // Fig.-4 breakdowns are unchanged; the span mirrors it in the trace.
-  EXPECT_EQ(timer.phases(),
-            std::vector<std::string>{"step1_truth_discovery"});
-  EXPECT_GE(timer.seconds("step1_truth_discovery"), 0.0);
-  const auto spans = sink.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "step1_truth_discovery");
-}
-
-TEST_F(TraceTest, StepScopeWithoutSinkStillFeedsTheTimer) {
-  PhaseTimer timer;
-  { trace::StepScope scope(timer, "step2_smoothing"); }
-  EXPECT_EQ(timer.phases(), std::vector<std::string>{"step2_smoothing"});
-}
-
 // ---------------------------------------------------------------------
 // Metrics registry under the pool
 // ---------------------------------------------------------------------
@@ -441,10 +417,9 @@ TEST_F(TraceTest, ChromeTraceExportIsValidJsonWithTheRecordedSpans) {
 
 TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   trace::TraceSink sink;
-  PhaseTimer timer;
   {
     trace::ScopedSink scoped(&sink);
-    trace::StepScope scope(timer, "step3_propagation");
+    trace::Span span("step3_propagation");
     sink.metrics().counter("work.items").add(7);
     sink.metrics().gauge("work.threads").set(4.0);
     sink.metrics().histogram("work.us").observe(123.0);
@@ -459,7 +434,9 @@ TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   trace::RunReport::Run& run = report.add_run("main");
   run.note("accuracy", 0.75);
   run.capture(sink);
-  run.capture(timer);
+  const char* const phase_names[] = {"step2_smoothing", "step3_propagation"};
+  const double phase_ms[] = {0.5, 1.25};
+  run.capture_phases(phase_names, phase_ms);
 
   std::ostringstream os;
   report.write(os);
@@ -498,7 +475,11 @@ TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   EXPECT_EQ(series->array[0].array[1].number, 0.25);
   const JsonValue* phases = main_run.find("phases_ms");
   ASSERT_NE(phases, nullptr);
-  ASSERT_NE(phases->find("step3_propagation"), nullptr);
+  ASSERT_EQ(phases->object.size(), 2u);
+  EXPECT_EQ(phases->object[0].first, "step2_smoothing");
+  EXPECT_EQ(phases->object[0].second.number, 0.5);
+  EXPECT_EQ(phases->object[1].first, "step3_propagation");
+  EXPECT_EQ(phases->object[1].second.number, 1.25);
   const JsonValue* spans = main_run.find("spans");
   ASSERT_NE(spans, nullptr);
   ASSERT_EQ(spans->array.size(), 1u);

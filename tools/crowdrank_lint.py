@@ -14,7 +14,7 @@ quietly break that promise, so this script bans them in src/:
                     rule only fires on declared-unordered variables that
                     are ranged-over or .begin()/.end()'d in the same file.
   wall-clock        system_clock / std::time / localtime / gmtime in result
-                    computation. Timing utilities (util/timer.*,
+                    computation. Timing utilities (util/timer.hpp,
                     util/trace.*) are allowlisted; results must not be.
   raw-new           raw new/delete expressions — own memory with
                     containers or smart pointers ('= delete' is fine).
@@ -50,8 +50,16 @@ quietly break that promise, so this script bans them in src/:
                     reads and one escaping rule covers every byte it
                     writes.
 
-Two rules are scoped to a subtree rather than all of src/:
+Three rules are scoped to a subtree rather than all of src/:
 
+  clock-in-core          naming steady_clock, Stopwatch, or PhaseTimer in
+                         src/core/. The engine reads the clock exactly once
+                         per stage boundary (the checkpoint lambda in
+                         src/core/pipeline.cpp, which carries the one
+                         lint:allow); step times are differences of those
+                         readings, and the service's per-stage telemetry
+                         reuses them. A second clock in core would time a
+                         different span than the one reported.
   fs-write-in-service    opening, writing, renaming, or deleting files from
                          src/service/ anywhere except the artifact module
                          (src/service/artifact.cpp). Every byte the service
@@ -111,7 +119,6 @@ CPP_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 # Files whose whole job is to touch the wall clock.
 WALL_CLOCK_ALLOWLIST = (
     "src/util/timer.hpp",
-    "src/util/timer.cpp",
     "src/util/trace.hpp",
     "src/util/trace.cpp",
 )
@@ -166,6 +173,10 @@ DENSE_IN_PROPAGATION_RE = re.compile(
     r"\bMatrix\s*\(|\bMatrix\s+\w+\s*\(|\bMatrix::(?:zero|identity)\b"
     r"|\.to_dense\s*\("
 )
+
+# One timing source for the engine: the boundary reads in pipeline.cpp.
+CLOCK_IN_CORE_DIR = "src/core/"
+CLOCK_IN_CORE_RE = re.compile(r"\bsteady_clock\b|\bStopwatch\b|\bPhaseTimer\b")
 
 # Persistence choke point for the service layer. Everything the service
 # writes to disk goes through the artifact module (framed + checksummed);
@@ -270,6 +281,10 @@ def lint_lines(path: str, lines: list[str]) -> list[tuple[str, int, str, str]]:
             findings.append(
                 (path, lineno, "json-outside-json-module", raw.strip())
             )
+        if (path.startswith(CLOCK_IN_CORE_DIR)
+                and "clock-in-core" not in allow
+                and CLOCK_IN_CORE_RE.search(code)):
+            findings.append((path, lineno, "clock-in-core", raw.strip()))
         if (path.startswith(FS_WRITE_DIR)
                 and path not in FS_WRITE_ALLOWED_FILES
                 and "fs-write-in-service" not in allow
@@ -423,6 +438,12 @@ SELF_TEST_BAD = [
      ["std::filesystem::rename(tmp, final_path, ec);"]),
     ("fs-write-in-service", "src/service/job.hpp",
      ['FILE* f = fopen(path.c_str(), "wb");']),
+    ("clock-in-core", "src/core/saps.cpp",
+     ["const auto t0 = std::chrono::steady_clock::now();"]),
+    ("clock-in-core", "src/core/pipeline.cpp",
+     ["Stopwatch watch;"]),
+    ("clock-in-core", "src/core/pipeline.hpp",
+     ["  PhaseTimer timings;"]),
 ]
 
 SELF_TEST_GOOD = [
@@ -467,6 +488,15 @@ SELF_TEST_GOOD = [
     # Same constructs outside src/service/ are not this rule's business.
     ("fs-write-in-service", "src/io/commands.cpp",
      ["std::ofstream out(path);"]),
+    # The sanctioned boundary read, and step times derived from it.
+    ("clock-in-core", "src/core/pipeline.cpp",
+     ["    const TimePoint at =",
+      "        std::chrono::steady_clock::now();  "
+      "// lint:allow(clock-in-core)",
+      "    result.timings.ms[i] = millis_between(snapshot.at, at);"]),
+    # Clocks outside src/core/ are not this rule's business.
+    ("clock-in-core", "src/service/service.cpp",
+     ["using Clock = std::chrono::steady_clock;"]),
 ]
 
 SELF_TEST_FACADE_BAD = [
@@ -520,7 +550,7 @@ def run_self_test() -> int:
     all_rules = set(RULES) | {
         "unordered-iter", "dense-in-propagation", "fs-write-in-service",
         "raw-intrinsics", "engine-outside-facade", "submodule-include",
-        "json-outside-json-module",
+        "json-outside-json-module", "clock-in-core",
     }
     for rule in sorted(all_rules - covered):
         cases.append(("coverage %s" % rule, False,
