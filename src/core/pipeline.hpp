@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -133,6 +132,9 @@ struct InferenceResult {
   Matrix closure;
 };
 
+/// Each task's workers as one flat table (defined in pipeline.cpp).
+struct TaskWorkers;
+
 /// Runs Steps 1-4 over a vote batch.
 ///  * `object_count` is n; `worker_count` sizes the quality vector.
 ///  * `task_workers(t)` must list the workers assigned to truths[t]'s task;
@@ -163,8 +165,7 @@ class InferenceEngine {
   InferenceResult infer_impl(
       const VoteBatch& votes, std::size_t object_count,
       std::size_t worker_count,
-      const std::map<Edge, std::vector<WorkerId>>& task_workers,
-      Rng& rng) const;
+      const TaskWorkers& task_workers, Rng& rng) const;
 
   InferenceConfig config_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -14,10 +15,15 @@ double worker_sigma_from_quality(double quality) {
   return -std::log(q);
 }
 
-PreferenceGraph smooth_preferences(
-    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
-    std::span<const std::vector<WorkerId>> assignment_workers,
-    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
+namespace {
+
+/// Both overloads: `WorkerLists` is a span of spans or of vectors.
+template <typename WorkerLists>
+PreferenceGraph smooth(PreferenceGraph smoothed,
+                       const TruthDiscoveryResult& step1,
+                       WorkerLists assignment_workers,
+                       const SmoothingConfig& config, Rng* rng,
+                       SmoothingStats* stats) {
   CR_EXPECTS(assignment_workers.size() == step1.truths.size(),
              "need one worker list per discovered task");
   CR_EXPECTS(config.min_mass > 0.0 && config.min_mass <= config.max_mass &&
@@ -27,8 +33,8 @@ PreferenceGraph smooth_preferences(
              "SampledError smoothing needs an Rng");
 
   SmoothingStats local;
-  local.in_nodes_before = graph.in_nodes().size();
-  local.out_nodes_before = graph.out_nodes().size();
+  local.in_nodes_before = smoothed.in_nodes().size();
+  local.out_nodes_before = smoothed.out_nodes().size();
 
   // Per-orientation flip counters for the trace: how many 1-edges were
   // softened in the forward (x == 1) vs backward (x == 0) direction.
@@ -37,16 +43,24 @@ PreferenceGraph smooth_preferences(
       trace::counter("smoothing.backward_ones");
   metrics::Histogram* trace_mass = trace::histogram("smoothing.mass");
 
-  PreferenceGraph smoothed = graph;
+  // ExpectedError's err_k depends on the worker alone: one value each.
+  std::vector<double> expected_err;
+  if (config.mode == SmoothingMode::ExpectedError) {
+    expected_err.reserve(step1.worker_quality.size());
+    for (const double q : step1.worker_quality) {
+      expected_err.push_back(
+          math::expected_abs_normal(worker_sigma_from_quality(q)));
+    }
+  }
+
   for (std::size_t t = 0; t < step1.truths.size(); ++t) {
     const TaskTruth& truth = step1.truths[t];
     const VertexId i = truth.task.first;
     const VertexId j = truth.task.second;
     // Identify 1-edges in either orientation: x == 1 means i -> j is a
-    // 1-edge (j -> i absent); x == 0 the reverse.
+    // 1-edge (j -> i absent); x == 0 the reverse. A forward 1-edge wins.
     const bool forward_one = smoothed.weight(i, j) == 1.0;
-    const bool backward_one = smoothed.weight(j, i) == 1.0;
-    if (!forward_one && !backward_one) {
+    if (!forward_one && smoothed.weight(j, i) != 1.0) {
       continue;
     }
     const auto& workers = assignment_workers[t];
@@ -55,11 +69,11 @@ PreferenceGraph smooth_preferences(
     for (const WorkerId k : workers) {
       CR_EXPECTS(k < step1.worker_quality.size(),
                  "worker id outside the quality vector");
-      const double sigma = worker_sigma_from_quality(step1.worker_quality[k]);
-      const double err = config.mode == SmoothingMode::ExpectedError
-                             ? math::expected_abs_normal(sigma)
-                             : std::abs(rng->normal(0.0, sigma));
-      err_sum += err;
+      err_sum += config.mode == SmoothingMode::ExpectedError
+                     ? expected_err[k]
+                     : std::abs(rng->normal(
+                           0.0, worker_sigma_from_quality(
+                                    step1.worker_quality[k])));
     }
     const double mass = std::clamp(
         err_sum / static_cast<double>(workers.size()), config.min_mass,
@@ -85,6 +99,24 @@ PreferenceGraph smooth_preferences(
     *stats = local;
   }
   return smoothed;
+}
+
+}  // namespace
+
+PreferenceGraph smooth_preferences(
+    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    std::span<const std::span<const WorkerId>> assignment_workers,
+    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
+  return smooth(std::move(graph), step1, assignment_workers, config, rng,
+                stats);
+}
+
+PreferenceGraph smooth_preferences(
+    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    std::span<const std::vector<WorkerId>> assignment_workers,
+    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
+  return smooth(std::move(graph), step1, assignment_workers, config, rng,
+                stats);
 }
 
 }  // namespace crowdrank

@@ -53,9 +53,16 @@ struct SmoothingStats {
 /// 1-edge came from so the right workers' qualities are consulted;
 /// `assignment_workers[t]` lists the workers of truths[t]'s task.
 /// `rng` may be null for SmoothingMode::ExpectedError.
-/// Returns the smoothed graph (the paper's G~_P).
+/// Returns the smoothed graph (the paper's G~_P), edited in `graph`'s own
+/// storage: pass an rvalue to skip the copy.
 PreferenceGraph smooth_preferences(
-    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
+    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    std::span<const std::span<const WorkerId>> assignment_workers,
+    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
+
+/// The same, over owned worker lists.
+PreferenceGraph smooth_preferences(
+    PreferenceGraph graph, const TruthDiscoveryResult& step1,
     std::span<const std::vector<WorkerId>> assignment_workers,
     const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
 

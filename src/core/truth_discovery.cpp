@@ -236,14 +236,24 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
 
 PreferenceGraph TruthDiscoveryResult::to_preference_graph(
     std::size_t n) const {
-  PreferenceGraph graph(n);
+  // Count, reserve, fill: one allocation per row, one slot per task on the
+  // vertex (from_rows drops the zero-weight side of a unanimous task).
+  std::vector<std::size_t> degree(n, 0);
   for (const TaskTruth& t : truths) {
     CR_EXPECTS(t.task.first < n && t.task.second < n,
                "truth references an out-of-range object");
-    graph.set_weight(t.task.first, t.task.second, t.x);
-    graph.set_weight(t.task.second, t.task.first, 1.0 - t.x);
+    ++degree[t.task.first];
+    ++degree[t.task.second];
   }
-  return graph;
+  std::vector<std::vector<OutEdge>> rows(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    rows[v].reserve(degree[v]);
+  }
+  for (const TaskTruth& t : truths) {
+    rows[t.task.first].push_back({t.task.second, t.x});
+    rows[t.task.second].push_back({t.task.first, 1.0 - t.x});
+  }
+  return PreferenceGraph::from_rows(std::move(rows));
 }
 
 std::vector<TaskTruth> majority_vote_truth(const VoteBatch& votes,

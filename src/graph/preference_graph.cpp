@@ -1,6 +1,7 @@
 #include "graph/preference_graph.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -169,6 +170,33 @@ Matrix PreferenceGraph::to_dense() const {
     for (const OutEdge& e : rows_[i]) dense(i, e.to) = e.weight;
   }
   return dense;
+}
+
+PreferenceGraph PreferenceGraph::from_rows(
+    std::vector<std::vector<OutEdge>> rows) {
+  PreferenceGraph g(rows.size());
+  const std::size_t n = rows.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    auto& row = rows[v];
+    for (const OutEdge& e : row) {
+      CR_EXPECTS(e.to < n, "vertex id out of range");
+      CR_EXPECTS(e.to != v, "self-preference is not allowed");
+      CR_EXPECTS(e.weight >= 0.0 && e.weight <= 1.0,
+                 "preference weight must lie in [0, 1]");
+    }
+    std::sort(row.begin(), row.end(),
+              [](const OutEdge& a, const OutEdge& b) { return a.to < b.to; });
+    // One pass: reject a repeated target, drop zero weights.
+    auto out = row.begin();
+    for (auto it = row.begin(); it != row.end(); ++it) {
+      CR_EXPECTS(it == row.begin() || std::prev(it)->to != it->to,
+                 "a row names the same target twice");
+      if (it->weight > 0.0) *out++ = *it;
+    }
+    row.erase(out, row.end());
+  }
+  g.rows_ = std::move(rows);
+  return g;
 }
 
 PreferenceGraph PreferenceGraph::from_matrix(const Matrix& weights) {

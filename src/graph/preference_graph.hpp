@@ -84,6 +84,11 @@ class PreferenceGraph {
   /// Builds a graph directly from a weight matrix (validating invariants).
   static PreferenceGraph from_matrix(const Matrix& weights);
 
+  /// Builds a graph from unsorted per-row out-edges, one vertex per row
+  /// (rows.size() >= 2), sorting each row in place. A row may name each
+  /// target at most once; zero-weight entries are dropped.
+  static PreferenceGraph from_rows(std::vector<std::vector<OutEdge>> rows);
+
  private:
   void check_vertex(VertexId v) const;
   /// In-degree of every vertex, in one pass over the rows.

@@ -57,7 +57,10 @@ using CachedResult = artifact::RankedResult;
 /// has its own schema constant in core/config_hash.hpp).
 /// v2: the hardening policy enters the hash only when `repair` is true —
 /// the strict path never consults it, so it is not content there.
-inline constexpr std::uint64_t kCacheKeySchema = 2;
+/// v3: bounded-horizon SpectralLimit results may come from the row-blocked
+/// engine, whose closures differ from the doubling's in the last bits, so
+/// entries cached under v2 are not the answers this engine gives.
+inline constexpr std::uint64_t kCacheKeySchema = 3;
 
 /// Derives the content key. Votes are hashed in batch order — the engine
 /// is order-sensitive, so reordered batches are different work, not the

@@ -139,17 +139,22 @@ T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
   if (chunks == 1) {
     return combine(init, chunk_fn(begin, end));
   }
-  std::vector<T> partial(chunks, init);
+  // One object per chunk partial: std::vector<bool> would pack the
+  // chunks' partials into shared words, and concurrent writes would race.
+  struct Partial {
+    T value;
+  };
+  std::vector<Partial> partial(chunks, Partial{init});
   parallel_for(0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
     for (std::size_t c = c0; c < c1; ++c) {
       const std::size_t b = begin + c * grain;
       const std::size_t e = b + grain < end ? b + grain : end;
-      partial[c] = chunk_fn(b, e);
+      partial[c].value = chunk_fn(b, e);
     }
   });
   T acc = init;
   for (std::size_t c = 0; c < chunks; ++c) {
-    acc = combine(acc, partial[c]);
+    acc = combine(acc, partial[c].value);
   }
   return acc;
 }

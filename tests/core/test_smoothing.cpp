@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -151,6 +153,19 @@ TEST(Smoothing, ValidatesConfigAndInputs) {
   EXPECT_THROW(smooth_preferences(f.graph, f.step1, short_list, {}, nullptr,
                                   nullptr),
                Error);
+}
+
+TEST(Smoothing, SpanListsAndMovedGraphMatchTheCopyingOverload) {
+  Fixture f({0.6, 0.8, 0.9});
+  const PreferenceGraph copied = smooth_preferences(
+      f.graph, f.step1, f.task_workers, {}, nullptr, nullptr);
+  const std::vector<std::span<const WorkerId>> spans(f.task_workers.begin(),
+                                                     f.task_workers.end());
+  const PreferenceGraph moved = smooth_preferences(
+      f.step1.to_preference_graph(4), f.step1, spans, {}, nullptr, nullptr);
+  EXPECT_EQ(moved.to_dense(), copied.to_dense());
+  // The lvalue argument itself is left as it was.
+  EXPECT_EQ(f.graph.to_dense(), f.step1.to_preference_graph(4).to_dense());
 }
 
 TEST(WorkerSigma, FromQuality) {

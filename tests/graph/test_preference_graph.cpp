@@ -137,6 +137,43 @@ TEST(PreferenceGraph, FromMatrixValidates) {
   EXPECT_THROW(PreferenceGraph::from_matrix(bad), Error);
 }
 
+TEST(PreferenceGraph, FromRowsSortsAndDropsZeros) {
+  std::vector<std::vector<OutEdge>> rows(3);
+  rows[0] = {{2, 0.3}, {1, 0.7}};
+  rows[1] = {{0, 0.0}};
+  rows[2] = {{1, 1.0}, {0, 0.5}};
+  PreferenceGraph expected(3);
+  expected.set_weight(0, 1, 0.7);
+  expected.set_weight(0, 2, 0.3);
+  expected.set_weight(2, 0, 0.5);
+  expected.set_weight(2, 1, 1.0);
+  const PreferenceGraph g = PreferenceGraph::from_rows(std::move(rows));
+  EXPECT_EQ(g.edge_count(), 4u);
+  EXPECT_EQ(g.out_degree(1), 0u);
+  for (VertexId v = 0; v < 3; ++v) {
+    const auto row = g.out_edges(v);
+    const auto want = expected.out_edges(v);
+    ASSERT_EQ(row.size(), want.size()) << v;
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(row[k].to, want[k].to);
+      EXPECT_EQ(row[k].weight, want[k].weight);
+    }
+  }
+}
+
+TEST(PreferenceGraph, FromRowsValidates) {
+  const auto build = [](std::vector<OutEdge> row0) {
+    std::vector<std::vector<OutEdge>> rows(3);
+    rows[0] = std::move(row0);
+    return PreferenceGraph::from_rows(std::move(rows));
+  };
+  EXPECT_THROW(build({{0, 0.5}}), Error);             // self-preference
+  EXPECT_THROW(build({{3, 0.5}}), Error);             // out of range
+  EXPECT_THROW(build({{1, 1.5}}), Error);             // weight > 1
+  EXPECT_THROW(build({{1, 0.5}, {1, 0.4}}), Error);   // repeated target
+  EXPECT_THROW(PreferenceGraph::from_rows({{}}), Error);  // n < 2
+}
+
 TEST(PreferenceGraph, RejectsTinyGraphs) {
   EXPECT_THROW(PreferenceGraph(1), Error);
 }

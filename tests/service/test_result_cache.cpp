@@ -153,11 +153,11 @@ TEST(CacheKey, DigestOfAFixedBatchIsPinned) {
   EXPECT_EQ(compute_cache_key(votes, 97, 41, 5, InferenceConfig{},
                               /*repair=*/false, nullptr)
                 .hex(),
-            "da911c9ef2cec3b6f21896254c1e21ad");
+            "497122535fb39e32d14d7dd54e751541");
   EXPECT_EQ(compute_cache_key(votes, 97, 41, 5, InferenceConfig{},
                               /*repair=*/true, &kPolicy)
                 .hex(),
-            "19e0826296ec3efe08a69732092f9139");
+            "d1b2fbe7afb86c61c329d19ef68ff539");
 }
 
 // -- memory tier ---------------------------------------------------------

@@ -89,6 +89,26 @@ TEST_F(ParallelTest, ReduceMatchesSerialSumAtAnyThreadCount) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST_F(ParallelTest, BoolReduceKeepsEveryChunkPartial) {
+  // 64 one-element chunks written concurrently: bool partials must not
+  // share storage (a std::vector<bool> packs them into one word).
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    for (std::size_t hole = 0; hole < 64; hole += 21) {
+      const bool all = parallel_reduce(
+          std::size_t{0}, std::size_t{64}, 1, true,
+          [&](std::size_t b, std::size_t) { return b != hole; },
+          [](bool acc, bool part) { return acc && part; });
+      EXPECT_FALSE(all) << "hole " << hole << ", threads " << threads;
+    }
+    const bool none = parallel_reduce(
+        std::size_t{0}, std::size_t{64}, 1, false,
+        [](std::size_t, std::size_t) { return false; },
+        [](bool acc, bool part) { return acc || part; });
+    EXPECT_FALSE(none);
+  }
+}
+
 TEST_F(ParallelTest, NestedParallelForRunsInlineWithoutDeadlock) {
   set_thread_count(4);
   std::atomic<std::size_t> total{0};

@@ -74,9 +74,10 @@ Three rules are scoped to a subtree rather than all of src/:
   dense-in-propagation   constructing a dense Matrix (or materializing one
                          via .to_dense()) inside src/core/propagation.cpp.
                          Propagation is sparse-first (DESIGN.md §7c): the
-                         spectral loop must run on SparseMatrix kernels and
-                         cross to dense only at the one sanctioned densify
-                         point, which carries lint:allow annotations. The
+                         spectral engines must run on sparse kernels and
+                         cross to dense only at the sanctioned points (the
+                         doubling's densify, the row-blocked engine's
+                         output), which carry lint:allow annotations. The
                          rule flags `Matrix(...)`, `Matrix name(...)`,
                          `Matrix::zero/identity`, and `.to_dense(` — but
                          not bare `Matrix m;` declarations, `Matrix x =
