@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/smoothing.hpp"
 #include "metrics/kendall.hpp"
 #include "util/error.hpp"
 
@@ -183,6 +185,62 @@ TEST(Pipeline, InferenceEngineRejectsForeignVotes) {
                   Vote{0, 1, 2, true}};  // (1,2) was never assigned
   const InferenceEngine engine;
   EXPECT_THROW(engine.infer(votes, 3, 3, assignment, rng), Error);
+}
+
+TEST(Pipeline, TaskListedTwiceIsSmoothedByItsFirstListingsWorkers) {
+  // Smoothing (§V-B) estimates a 1-edge's reverse mass from "the workers
+  // who answered it". When an assignment lists a task twice, only the
+  // first listing's workers answered here, so they alone smooth it: the
+  // run matches the one whose workers come from the votes themselves.
+  Rng rng(11);
+  const std::vector<Edge> tasks{Edge{0, 1}, Edge{1, 2}, Edge{0, 2},
+                                Edge{1, 0}};
+  const HitAssignment assignment(tasks, HitConfig{1, 2}, 6, rng);
+  const auto& first = assignment.workers_for_task(0);
+  const auto& again = assignment.workers_for_task(3);
+  VoteBatch votes;
+  for (std::size_t t = 0; t < 3; ++t) {
+    const auto& workers = assignment.workers_for_task(t);
+    // Task (0, 1) is unanimous (a 1-edge); on the others the second
+    // worker dissents, so the qualities differ.
+    votes.push_back(Vote{workers[0], tasks[t].first, tasks[t].second, true});
+    votes.push_back(
+        Vote{workers[1], tasks[t].first, tasks[t].second, t == 0});
+  }
+  // No clamp floor to hide a difference in the workers' mean error.
+  InferenceConfig config;
+  config.smoothing.min_mass = 1e-300;
+  const InferenceEngine engine(config);
+  Rng run_rng(3);
+  const InferenceResult listed = engine.infer(votes, 3, 6, assignment, run_rng);
+  Rng voted_rng(3);
+  const InferenceResult voted = engine.infer(votes, 3, 6, voted_rng);
+  EXPECT_EQ(listed.closure, voted.closure);
+  EXPECT_EQ(listed.ranking, voted.ranking);
+
+  // The second listing's workers would smooth (0, 1) differently.
+  std::vector<WorkerId> both(first);
+  for (const WorkerId k : again) {
+    if (std::find(both.begin(), both.end(), k) == both.end()) {
+      both.push_back(k);
+    }
+  }
+  ASSERT_NE(both.size(), first.size());
+  std::vector<std::vector<WorkerId>> wiring;
+  std::vector<std::vector<WorkerId>> union_wiring;
+  for (const TaskTruth& truth : listed.step1.truths) {
+    const bool task01 = truth.task == Edge{0, 1};
+    const auto& workers = assignment.workers_for_task(
+        task01 ? 0 : (truth.task == Edge{1, 2} ? 1 : 2));
+    wiring.push_back(workers);
+    union_wiring.push_back(task01 ? both : workers);
+  }
+  const PreferenceGraph direct = listed.step1.to_preference_graph(3);
+  const PreferenceGraph by_first = smooth_preferences(
+      direct, listed.step1, wiring, config.smoothing, nullptr);
+  const PreferenceGraph by_union = smooth_preferences(
+      direct, listed.step1, union_wiring, config.smoothing, nullptr);
+  EXPECT_NE(by_first.weight(1, 0), by_union.weight(1, 0));
 }
 
 TEST(Pipeline, ValidatesExperimentConfig) {
