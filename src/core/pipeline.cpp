@@ -165,76 +165,51 @@ std::vector<ConfigError> ExperimentConfig::validate() const {
   return errors;
 }
 
-/// Every task's workers as one flat table, bucketed by the task's first
-/// (smaller) vertex: finding a task scans one bucket of ~degree entries.
-struct TaskWorkers {
-  std::vector<std::size_t> bucket;      // first vertex -> range of tasks
-  std::vector<VertexId> second;         // per task, ascending in a bucket
+namespace {
+
+/// Each task's workers as flat lists, in the vote table's task order.
+struct WorkerLists {
   std::vector<std::size_t> offsets{0};  // per task + 1, into `ids`
   std::vector<WorkerId> ids;
 
-  std::span<const WorkerId> find(const Edge& task) const {
-    if (task.first + 1 < bucket.size()) {
-      const auto begin = second.begin() +
-                         static_cast<std::ptrdiff_t>(bucket[task.first]);
-      const auto end = second.begin() +
-                       static_cast<std::ptrdiff_t>(bucket[task.first + 1]);
-      const auto it = std::lower_bound(begin, end, task.second);
-      if (it != end && *it == task.second) {
-        const auto t = static_cast<std::size_t>(it - second.begin());
-        return {ids.data() + offsets[t], offsets[t + 1] - offsets[t]};
+  std::span<const WorkerId> operator[](std::size_t t) const {
+    return {ids.data() + offsets[t], offsets[t + 1] - offsets[t]};
+  }
+};
+
+/// The workers of each voted task's first listing in `assignment`, each
+/// once, in listing order. Smoothing (§V-B) takes "the workers who
+/// answered" a task from the assignment, so a listed worker enters a
+/// 1-edge's mass whether or not they voted on it.
+WorkerLists first_listing_workers(const VoteTable& table,
+                                  const HitAssignment& assignment) {
+  std::vector<std::size_t> listing(table.task_count(), VoteTable::npos);
+  for (std::size_t l = 0; l < assignment.tasks().size(); ++l) {
+    const Edge& e = assignment.tasks()[l];
+    const std::size_t t = table.find(Edge::canonical(e.first, e.second));
+    if (t != VoteTable::npos && listing[t] == VoteTable::npos) {
+      listing[t] = l;
+    }
+  }
+  WorkerLists lists;
+  lists.offsets.reserve(table.task_count() + 1);
+  std::vector<std::size_t> listed_on(table.worker_count(), VoteTable::npos);
+  for (std::size_t t = 0; t < table.task_count(); ++t) {
+    if (listing[t] == VoteTable::npos) {
+      throw Error("votes reference a task outside the assignment");
+    }
+    for (const WorkerId k : assignment.workers_for_task(listing[t])) {
+      // A worker outside the worker count stays listed: smoothing rejects
+      // it only if the task is a 1-edge and its list is read.
+      if (k < listed_on.size()) {
+        if (listed_on[k] == t) continue;
+        listed_on[k] = t;
       }
+      lists.ids.push_back(k);
     }
-    throw Error("votes reference a task outside the assignment");
+    lists.offsets.push_back(lists.ids.size());
   }
-};
-
-namespace {
-
-/// One (task, worker) pair of a task listing; `listing` tells the
-/// listings of a task apart.
-struct TaskWorkerEntry {
-  Edge task;
-  std::size_t listing;
-  WorkerId worker;
-};
-
-/// Builds the table from (task, listing, worker) entries: each task's list
-/// is the distinct workers of its first listing, in entry order. Tasks
-/// touching an object >= object_count are left out — the votes naming
-/// them fail step 1's validation first.
-TaskWorkers build_task_workers(std::size_t object_count,
-                               std::vector<TaskWorkerEntry> entries) {
-  std::erase_if(entries, [&](const TaskWorkerEntry& entry) {
-    return entry.task.second >= object_count;
-  });
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.task < b.task;
-                   });
-  TaskWorkers table;
-  table.bucket.assign(object_count + 1, 0);
-  std::size_t first_listing = 0;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const auto& [task, listing, worker] = entries[k];
-    if (k == 0 || entries[k - 1].task != task) {
-      if (k > 0) table.offsets.push_back(table.ids.size());
-      table.second.push_back(task.second);
-      ++table.bucket[task.first + 1];
-      first_listing = listing;
-    }
-    if (listing != first_listing) continue;
-    const auto listed =
-        table.ids.begin() + static_cast<std::ptrdiff_t>(table.offsets.back());
-    if (std::find(listed, table.ids.end(), worker) == table.ids.end()) {
-      table.ids.push_back(worker);
-    }
-  }
-  if (!entries.empty()) table.offsets.push_back(table.ids.size());
-  for (std::size_t v = 0; v < object_count; ++v) {
-    table.bucket[v + 1] += table.bucket[v];
-  }
-  return table;
+  return lists;
 }
 
 }  // namespace
@@ -247,36 +222,20 @@ InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t worker_count,
                                        const HitAssignment& assignment,
                                        Rng& rng) const {
-  // A task listed more than once keeps its first listing's workers.
-  std::vector<TaskWorkerEntry> entries;
-  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
-    const Edge& e = assignment.tasks()[t];
-    for (const WorkerId k : assignment.workers_for_task(t)) {
-      entries.push_back({Edge::canonical(e.first, e.second), t, k});
-    }
-  }
-  return infer_impl(votes, object_count, worker_count,
-                    build_task_workers(object_count, std::move(entries)), rng);
+  return infer_impl(votes, object_count, worker_count, &assignment, rng);
 }
 
 InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t object_count,
                                        std::size_t worker_count,
                                        Rng& rng) const {
-  // Derive each task's worker list from the batch itself.
-  std::vector<TaskWorkerEntry> entries;
-  entries.reserve(votes.size());
-  for (const Vote& v : votes) {
-    entries.push_back({Edge::canonical(v.i, v.j), 0, v.worker});
-  }
-  return infer_impl(votes, object_count, worker_count,
-                    build_task_workers(object_count, std::move(entries)), rng);
+  return infer_impl(votes, object_count, worker_count, nullptr, rng);
 }
 
 InferenceResult InferenceEngine::infer_impl(
     const VoteBatch& votes, std::size_t object_count,
-    std::size_t worker_count,
-    const TaskWorkers& assignment_workers, Rng& rng) const {
+    std::size_t worker_count, const HitAssignment* assignment,
+    Rng& rng) const {
   InferenceResult result{Ranking::identity(object_count), 0.0, {}, {}, {},
                          {}, 0, {}};
 
@@ -318,13 +277,21 @@ InferenceResult InferenceEngine::infer_impl(
     }
   };
 
-  // Step 1: truth discovery of the direct pairwise preferences.
+  // Step 1: truth discovery of the direct pairwise preferences, over the
+  // votes grouped by task once. The same table lists each task's workers
+  // for Step 2, in truths[] order: its voters, or with an assignment the
+  // workers of the task's first listing.
   checkpoint(PipelineStage::TruthDiscovery);
+  VoteTable table;
+  WorkerLists listed;
   TruthDiscoveryResult step1;
   {
     trace::Span span("step1_truth_discovery");
-    step1 = discover_truth(votes, object_count, worker_count,
-                           config_.truth_discovery);
+    table = VoteTable(votes, object_count, worker_count);
+    if (assignment != nullptr) {
+      listed = first_listing_workers(table, *assignment);
+    }
+    step1 = discover_truth(table, config_.truth_discovery);
     if (span.active()) {
       span.set_attr("iterations", step1.iterations);
       span.set_attr("converged", step1.converged);
@@ -337,28 +304,21 @@ InferenceResult InferenceEngine::infer_impl(
   snapshot.truth = &step1;
   checkpoint(PipelineStage::Smoothing);
 
-  // Wire each discovered task to its workers, in truths[] order (smoothing
-  // consults those workers' qualities): views into the table, no copies.
-  std::vector<std::span<const WorkerId>> task_workers;
-  task_workers.reserve(step1.truths.size());
-  for (const TaskTruth& t : step1.truths) {
-    task_workers.push_back(assignment_workers.find(t.task));
-  }
-
-  // Step 2: preference smoothing of the 1-edges. With validation on,
-  // `direct` outlives the span's scope so the validators can diff it
-  // against the smoothed graph.
+  // Step 2: preference smoothing of the 1-edges, built straight from the
+  // truths; only the validators need the direct graph.
   PreferenceGraph smoothed(object_count);
-  PreferenceGraph direct(object_count);
   {
     trace::Span span("step2_smoothing");
-    direct = step1.to_preference_graph(object_count);
-    result.one_edge_count = direct.one_edges().size();
-    // Smoothing edits the graph it is given; the validators diff `direct`
-    // against the result, so only they need a copy kept.
-    smoothed = smooth_preferences(
-        validate ? PreferenceGraph(direct) : std::move(direct), step1,
-        task_workers, config_.smoothing, &rng, &result.step2);
+    std::vector<std::span<const WorkerId>> task_workers;
+    task_workers.reserve(table.task_count());
+    for (std::size_t t = 0; t < table.task_count(); ++t) {
+      task_workers.push_back(assignment == nullptr ? table.task_workers(t)
+                                                   : listed[t]);
+    }
+    smoothed = smoothed_preference_graph(object_count, step1, task_workers,
+                                         config_.smoothing, &rng,
+                                         &result.step2);
+    result.one_edge_count = result.step2.one_edges_smoothed;
     if (span.active()) {
       span.set_attr("one_edges", result.one_edge_count);
       span.set_attr("one_edges_smoothed", result.step2.one_edges_smoothed);
@@ -367,6 +327,7 @@ InferenceResult InferenceEngine::infer_impl(
     }
   }
   if (validate) {
+    const PreferenceGraph direct = step1.to_preference_graph(object_count);
     analysis::check_preference_graph(direct);
     analysis::check_preference_graph(smoothed);
     analysis::check_smoothing(direct, smoothed, config_.smoothing);

@@ -132,13 +132,11 @@ struct InferenceResult {
   Matrix closure;
 };
 
-/// Each task's workers as one flat table (defined in pipeline.cpp).
-struct TaskWorkers;
-
 /// Runs Steps 1-4 over a vote batch.
 ///  * `object_count` is n; `worker_count` sizes the quality vector.
-///  * `task_workers(t)` must list the workers assigned to truths[t]'s task;
-///    run_experiment wires this from the HitAssignment automatically.
+///  * Smoothing consults each task's workers: its voters, or the workers
+///    of its first listing when an assignment is given (run_experiment
+///    passes its HitAssignment).
 /// `rng` drives SAPS and (if configured) sampled smoothing.
 class InferenceEngine {
  public:
@@ -147,7 +145,10 @@ class InferenceEngine {
   const InferenceConfig& config() const { return config_; }
 
   /// Full inference over a collected batch. The assignment supplies the
-  /// per-task worker lists needed by smoothing.
+  /// per-task worker lists needed by smoothing: a task listed more than
+  /// once takes its first listing's workers, listed workers count whether
+  /// or not they voted, and a voted task the assignment does not list
+  /// throws crowdrank::Error.
   InferenceResult infer(const VoteBatch& votes, std::size_t object_count,
                         std::size_t worker_count,
                         const HitAssignment& assignment, Rng& rng) const;
@@ -162,10 +163,11 @@ class InferenceEngine {
                         std::size_t worker_count, Rng& rng) const;
 
  private:
-  InferenceResult infer_impl(
-      const VoteBatch& votes, std::size_t object_count,
-      std::size_t worker_count,
-      const TaskWorkers& task_workers, Rng& rng) const;
+  /// `assignment` null: each task's workers are its voters.
+  InferenceResult infer_impl(const VoteBatch& votes,
+                             std::size_t object_count,
+                             std::size_t worker_count,
+                             const HitAssignment* assignment, Rng& rng) const;
 
   InferenceConfig config_;
 };

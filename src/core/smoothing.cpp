@@ -17,10 +17,11 @@ double worker_sigma_from_quality(double quality) {
 
 namespace {
 
-/// Both overloads: `WorkerLists` is a span of spans or of vectors.
+/// Step 2 over the direct weights (w_ij, w_ji) = (x, 1 - x) of each task
+/// (i, j) = truths[t].task, building the smoothed graph in one pass:
+/// count, reserve, fill. `WorkerLists` is a span of spans or of vectors.
 template <typename WorkerLists>
-PreferenceGraph smooth(PreferenceGraph smoothed,
-                       const TruthDiscoveryResult& step1,
+PreferenceGraph smooth(std::size_t n, const TruthDiscoveryResult& step1,
                        WorkerLists assignment_workers,
                        const SmoothingConfig& config, Rng* rng,
                        SmoothingStats* stats) {
@@ -32,9 +33,31 @@ PreferenceGraph smooth(PreferenceGraph smoothed,
   CR_EXPECTS(config.mode == SmoothingMode::ExpectedError || rng != nullptr,
              "SampledError smoothing needs an Rng");
 
+  // Each vertex's task count and its direct in- and out-edges (for the
+  // in-/out-node counts before smoothing).
+  std::vector<std::size_t> degree(n, 0);
+  std::vector<std::size_t> in(n, 0);
+  std::vector<std::size_t> out(n, 0);
+  for (const TaskTruth& truth : step1.truths) {
+    const Edge& task = truth.task;
+    CR_EXPECTS(task.first < n && task.second < n,
+               "truth references an out-of-range object");
+    const double forward = truth.x;
+    const double backward = 1.0 - truth.x;
+    ++degree[task.first];
+    ++degree[task.second];
+    out[task.first] += forward > 0.0;
+    in[task.second] += forward > 0.0;
+    out[task.second] += backward > 0.0;
+    in[task.first] += backward > 0.0;
+  }
   SmoothingStats local;
-  local.in_nodes_before = smoothed.in_nodes().size();
-  local.out_nodes_before = smoothed.out_nodes().size();
+  std::vector<std::vector<OutEdge>> rows(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    rows[v].reserve(degree[v]);
+    local.in_nodes_before += in[v] > 0 && out[v] == 0;
+    local.out_nodes_before += out[v] > 0 && in[v] == 0;
+  }
 
   // Per-orientation flip counters for the trace: how many 1-edges were
   // softened in the forward (x == 1) vs backward (x == 0) direction.
@@ -54,43 +77,42 @@ PreferenceGraph smooth(PreferenceGraph smoothed,
   }
 
   for (std::size_t t = 0; t < step1.truths.size(); ++t) {
-    const TaskTruth& truth = step1.truths[t];
-    const VertexId i = truth.task.first;
-    const VertexId j = truth.task.second;
-    // Identify 1-edges in either orientation: x == 1 means i -> j is a
-    // 1-edge (j -> i absent); x == 0 the reverse. A forward 1-edge wins.
-    const bool forward_one = smoothed.weight(i, j) == 1.0;
-    if (!forward_one && smoothed.weight(j, i) != 1.0) {
-      continue;
+    const Edge& task = step1.truths[t].task;
+    double forward = step1.truths[t].x;
+    double backward = 1.0 - forward;
+    // Identify 1-edges in either orientation: w_ij == 1 means i -> j is a
+    // 1-edge (j -> i absent); w_ji == 1 the reverse. A forward 1-edge
+    // wins.
+    const bool forward_one = forward == 1.0;
+    if (forward_one || backward == 1.0) {
+      const auto& workers = assignment_workers[t];
+      CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
+      double err_sum = 0.0;
+      for (const WorkerId k : workers) {
+        CR_EXPECTS(k < step1.worker_quality.size(),
+                   "worker id outside the quality vector");
+        err_sum += config.mode == SmoothingMode::ExpectedError
+                       ? expected_err[k]
+                       : std::abs(rng->normal(
+                             0.0, worker_sigma_from_quality(
+                                      step1.worker_quality[k])));
+      }
+      const double mass = std::clamp(
+          err_sum / static_cast<double>(workers.size()), config.min_mass,
+          config.max_mass);
+      forward = forward_one ? 1.0 - mass : mass;
+      backward = forward_one ? mass : 1.0 - mass;
+      if (metrics::Counter* c = forward_one ? trace_forward : trace_backward) {
+        c->add(1);
+      }
+      if (trace_mass != nullptr) trace_mass->observe(mass);
+      ++local.one_edges_smoothed;
     }
-    const auto& workers = assignment_workers[t];
-    CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
-    double err_sum = 0.0;
-    for (const WorkerId k : workers) {
-      CR_EXPECTS(k < step1.worker_quality.size(),
-                 "worker id outside the quality vector");
-      err_sum += config.mode == SmoothingMode::ExpectedError
-                     ? expected_err[k]
-                     : std::abs(rng->normal(
-                           0.0, worker_sigma_from_quality(
-                                    step1.worker_quality[k])));
-    }
-    const double mass = std::clamp(
-        err_sum / static_cast<double>(workers.size()), config.min_mass,
-        config.max_mass);
-    if (forward_one) {
-      smoothed.set_weight(i, j, 1.0 - mass);
-      smoothed.set_weight(j, i, mass);
-      if (trace_forward != nullptr) trace_forward->add(1);
-    } else {
-      smoothed.set_weight(j, i, 1.0 - mass);
-      smoothed.set_weight(i, j, mass);
-      if (trace_backward != nullptr) trace_backward->add(1);
-    }
-    if (trace_mass != nullptr) trace_mass->observe(mass);
-    ++local.one_edges_smoothed;
+    rows[task.first].push_back({task.second, forward});
+    rows[task.second].push_back({task.first, backward});
   }
 
+  PreferenceGraph smoothed = PreferenceGraph::from_rows(std::move(rows));
   local.strongly_connected_after = smoothed.is_strongly_connected();
   if (metrics::Counter* c = trace::counter("smoothing.one_edges_smoothed")) {
     c->add(local.one_edges_smoothed);
@@ -104,19 +126,26 @@ PreferenceGraph smooth(PreferenceGraph smoothed,
 }  // namespace
 
 PreferenceGraph smooth_preferences(
-    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
     std::span<const std::span<const WorkerId>> assignment_workers,
     const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
-  return smooth(std::move(graph), step1, assignment_workers, config, rng,
+  return smooth(graph.vertex_count(), step1, assignment_workers, config, rng,
                 stats);
 }
 
 PreferenceGraph smooth_preferences(
-    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
     std::span<const std::vector<WorkerId>> assignment_workers,
     const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
-  return smooth(std::move(graph), step1, assignment_workers, config, rng,
+  return smooth(graph.vertex_count(), step1, assignment_workers, config, rng,
                 stats);
+}
+
+PreferenceGraph smoothed_preference_graph(
+    std::size_t n, const TruthDiscoveryResult& step1,
+    std::span<const std::span<const WorkerId>> assignment_workers,
+    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
+  return smooth(n, step1, assignment_workers, config, rng, stats);
 }
 
 }  // namespace crowdrank

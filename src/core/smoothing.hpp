@@ -49,21 +49,29 @@ struct SmoothingStats {
   bool strongly_connected_after = false;
 };
 
-/// Applies Step 2 to the Step-1 output. `truths` identifies which task each
-/// 1-edge came from so the right workers' qualities are consulted;
-/// `assignment_workers[t]` lists the workers of truths[t]'s task.
-/// `rng` may be null for SmoothingMode::ExpectedError.
-/// Returns the smoothed graph (the paper's G~_P), edited in `graph`'s own
-/// storage: pass an rvalue to skip the copy.
+/// Applies Step 2 to the Step-1 output. `graph` must be Step 1's direct
+/// graph, step1.to_preference_graph(n): only its vertex count is read, the
+/// direct weights (x, 1 - x) come from the truths. `truths` identifies
+/// which task each 1-edge came from so the right workers' qualities are
+/// consulted; `assignment_workers[t]` lists the workers of truths[t]'s
+/// task. `rng` may be null for SmoothingMode::ExpectedError. Returns the
+/// smoothed graph (the paper's G~_P), built in one pass over the tasks;
+/// draws are taken in task order.
 PreferenceGraph smooth_preferences(
-    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
     std::span<const std::span<const WorkerId>> assignment_workers,
     const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
 
 /// The same, over owned worker lists.
 PreferenceGraph smooth_preferences(
-    PreferenceGraph graph, const TruthDiscoveryResult& step1,
+    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
     std::span<const std::vector<WorkerId>> assignment_workers,
+    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
+
+/// The same over n objects, without building the direct graph first.
+PreferenceGraph smoothed_preference_graph(
+    std::size_t n, const TruthDiscoveryResult& step1,
+    std::span<const std::span<const WorkerId>> assignment_workers,
     const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
 
 /// sigma_k = -log(q_k). The quality is clamped into [1e-9, 1] first so the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -13,51 +12,6 @@ namespace crowdrank {
 
 namespace {
 
-/// Canonicalized vote: x^k in {0,1} w.r.t. the canonical (first < second)
-/// orientation of its task.
-struct FlatVote {
-  std::size_t task_index;
-  WorkerId worker;
-  double x;  // 1.0 if the worker prefers task.first, else 0.0
-};
-
-struct GroupedVotes {
-  std::vector<Edge> tasks;          // canonical, in first-seen order
-  std::vector<FlatVote> votes;      // all votes, canonicalized
-  std::vector<std::vector<std::size_t>> votes_by_task;
-  std::vector<std::vector<std::size_t>> votes_by_worker;
-};
-
-GroupedVotes group_votes(const VoteBatch& votes, std::size_t object_count,
-                         std::size_t worker_count) {
-  CR_EXPECTS(!votes.empty(), "truth discovery needs at least one vote");
-  GroupedVotes g;
-  std::map<Edge, std::size_t> task_index;
-  g.votes_by_worker.resize(worker_count);
-  for (const Vote& v : votes) {
-    CR_EXPECTS(v.i < object_count && v.j < object_count,
-               "vote references an out-of-range object");
-    CR_EXPECTS(v.i != v.j, "vote compares an object with itself");
-    CR_EXPECTS(v.worker < worker_count,
-               "vote references an out-of-range worker");
-    const Edge task = Edge::canonical(v.i, v.j);
-    auto [it, inserted] = task_index.try_emplace(task, g.tasks.size());
-    if (inserted) {
-      g.tasks.push_back(task);
-      g.votes_by_task.emplace_back();
-    }
-    const std::size_t t = it->second;
-    // prefers_i refers to v.i; flip when canonicalization swapped the pair.
-    const bool prefers_first = (v.i == task.first) ? v.prefers_i
-                                                   : !v.prefers_i;
-    const std::size_t vote_id = g.votes.size();
-    g.votes.push_back(FlatVote{t, v.worker, prefers_first ? 1.0 : 0.0});
-    g.votes_by_task[t].push_back(vote_id);
-    g.votes_by_worker[v.worker].push_back(vote_id);
-  }
-  return g;
-}
-
 /// Chunk sizes for the per-task / per-worker parallel loops. Fixed (thread
 /// count independent) so reduction chunk boundaries never move; each x[t] /
 /// q[k] is written by exactly one chunk and the only reductions are exact
@@ -65,18 +19,41 @@ GroupedVotes group_votes(const VoteBatch& votes, std::size_t object_count,
 constexpr std::size_t kTaskGrain = 512;
 constexpr std::size_t kWorkerGrain = 16;
 
+/// Step 1's preconditions on the grouped votes.
+void check_votes(const VoteTable& table) {
+  CR_EXPECTS(!table.votes().empty(),
+             "truth discovery needs at least one vote");
+  for (const Edge& task : table.tasks()) {
+    CR_EXPECTS(task.first != task.second,
+               "vote compares an object with itself");
+  }
+}
+
+/// x^k in {0, 1} w.r.t. the canonical orientation of the vote's task.
+template <typename TableVote>
+double answer(const TableVote& v) {
+  return v.first_preferred ? 1.0 : 0.0;
+}
+
 }  // namespace
 
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                                     std::size_t object_count,
                                     std::size_t worker_count,
                                     const TruthDiscoveryConfig& config) {
+  return discover_truth(VoteTable(votes, object_count, worker_count),
+                        config);
+}
+
+TruthDiscoveryResult discover_truth(const VoteTable& table,
+                                    const TruthDiscoveryConfig& config) {
   CR_EXPECTS(config.max_iterations >= 1, "need at least one iteration");
   CR_EXPECTS(config.tolerance > 0.0, "tolerance must be positive");
   CR_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0,
              "alpha must be in (0, 1)");
-  const GroupedVotes g = group_votes(votes, object_count, worker_count);
-  const std::size_t num_tasks = g.tasks.size();
+  check_votes(table);
+  const std::size_t num_tasks = table.task_count();
+  const std::size_t worker_count = table.worker_count();
 
   std::vector<double> x(num_tasks, 0.5);
   std::vector<double> q(worker_count, 1.0);  // equal initial quality
@@ -85,7 +62,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   // precompute once.
   std::vector<double> chi2_scale(worker_count, 0.0);
   for (WorkerId k = 0; k < worker_count; ++k) {
-    const std::size_t dof = g.votes_by_worker[k].size();
+    const std::size_t dof = table.worker_votes(k).size();
     if (dof > 0) {
       chi2_scale[k] = math::chi_squared_quantile(config.alpha / 2.0,
                                                  static_cast<double>(dof));
@@ -104,7 +81,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   metrics::Series* trace_spread =
       trace::series("truth_discovery.quality_spread");
   if (trace_votes != nullptr) {
-    trace_votes->add(g.votes.size());
+    trace_votes->add(table.votes().size());
     trace_tasks->add(num_tasks);
   }
 
@@ -126,9 +103,8 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
           for (std::size_t t = t0; t < t1; ++t) {
             double num = 0.0;
             double den = 0.0;
-            for (const std::size_t vid : g.votes_by_task[t]) {
-              const FlatVote& v = g.votes[vid];
-              num += v.x * q[v.worker];
+            for (const TaskVote& v : table.task_votes(t)) {
+              num += answer(v) * q[v.worker];
               den += q[v.worker];
             }
             const double next = den > 0.0 ? num / den : 0.5;
@@ -159,12 +135,12 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
           for (std::size_t k = k0; k < k1; ++k) {
-            if (g.votes_by_worker[k].empty()) continue;
+            const auto own = table.worker_votes(k);
+            if (own.empty()) continue;
             double dev = config.deviation_floor *
-                         static_cast<double>(g.votes_by_worker[k].size());
-            for (const std::size_t vid : g.votes_by_worker[k]) {
-              const FlatVote& v = g.votes[vid];
-              const double d = v.x - x[v.task_index];
+                         static_cast<double>(own.size());
+            for (const WorkerVote& v : own) {
+              const double d = answer(v) - x[v.task];
               dev += d * d;
             }
             raw[k] = chi2_scale[k] / dev;
@@ -181,7 +157,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
           for (std::size_t k = k0; k < k1; ++k) {
-            const double next = g.votes_by_worker[k].empty()
+            const double next = table.worker_votes(k).empty()
                                     ? 1.0
                                     : (max_raw > 0.0 ? raw[k] / max_raw : 1.0);
             local = std::max(local, std::abs(next - q[k]));
@@ -207,7 +183,8 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   result.truths.reserve(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     result.truths.push_back(
-        TaskTruth{g.tasks[t], math::clamp01(x[t]), g.votes_by_task[t].size()});
+        TaskTruth{table.tasks()[t], math::clamp01(x[t]),
+                  table.task_votes(t).size()});
   }
   // Calibrated quality for Step 2: sigma_hat_k is the empirical RMS
   // deviation of the worker's votes from the final truths; q = exp(-sigma)
@@ -216,15 +193,15 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   parallel_for(0, worker_count, kWorkerGrain,
                [&](std::size_t k0, std::size_t k1) {
                  for (std::size_t k = k0; k < k1; ++k) {
-                   if (g.votes_by_worker[k].empty()) continue;
+                   const auto own = table.worker_votes(k);
+                   if (own.empty()) continue;
                    double dev = 0.0;
-                   for (const std::size_t vid : g.votes_by_worker[k]) {
-                     const FlatVote& v = g.votes[vid];
-                     const double d = v.x - x[v.task_index];
+                   for (const WorkerVote& v : own) {
+                     const double d = answer(v) - x[v.task];
                      dev += d * d;
                    }
                    const double msd =
-                       dev / static_cast<double>(g.votes_by_worker[k].size());
+                       dev / static_cast<double>(own.size());
                    result.worker_quality[k] = std::exp(-std::sqrt(msd));
                  }
                });
@@ -258,24 +235,22 @@ PreferenceGraph TruthDiscoveryResult::to_preference_graph(
 
 std::vector<TaskTruth> majority_vote_truth(const VoteBatch& votes,
                                            std::size_t object_count) {
-  const GroupedVotes g = group_votes(votes, object_count,
-                                     [&] {
-                                       WorkerId max_worker = 0;
-                                       for (const Vote& v : votes) {
-                                         max_worker =
-                                             std::max(max_worker, v.worker);
-                                       }
-                                       return max_worker + 1;
-                                     }());
+  WorkerId max_worker = 0;
+  for (const Vote& v : votes) {
+    max_worker = std::max(max_worker, v.worker);
+  }
+  const VoteTable table(votes, object_count, max_worker + 1);
+  check_votes(table);
   std::vector<TaskTruth> out;
-  out.reserve(g.tasks.size());
-  for (std::size_t t = 0; t < g.tasks.size(); ++t) {
+  out.reserve(table.task_count());
+  for (std::size_t t = 0; t < table.task_count(); ++t) {
     double sum = 0.0;
-    for (const std::size_t vid : g.votes_by_task[t]) {
-      sum += g.votes[vid].x;
+    for (const TaskVote& v : table.task_votes(t)) {
+      sum += answer(v);
     }
-    const double x = sum / static_cast<double>(g.votes_by_task[t].size());
-    out.push_back(TaskTruth{g.tasks[t], x, g.votes_by_task[t].size()});
+    const auto count = table.task_votes(t).size();
+    out.push_back(
+        TaskTruth{table.tasks()[t], sum / static_cast<double>(count), count});
   }
   return out;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "crowd/vote.hpp"
+#include "crowd/vote_table.hpp"
 #include "crowd/worker.hpp"
 #include "graph/preference_graph.hpp"
 #include "graph/types.hpp"
@@ -79,6 +80,11 @@ struct TruthDiscoveryResult {
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                                     std::size_t object_count,
                                     std::size_t worker_count,
+                                    const TruthDiscoveryConfig& config = {});
+
+/// The same over votes already grouped by task: truths[t] is the table's
+/// task t, and the table's worker count sizes the quality vector.
+TruthDiscoveryResult discover_truth(const VoteTable& table,
                                     const TruthDiscoveryConfig& config = {});
 
 /// Plain majority voting over the same vote batch (every worker weight 1,

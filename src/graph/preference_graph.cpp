@@ -103,17 +103,6 @@ std::vector<VertexId> PreferenceGraph::out_nodes() const {
   return result;
 }
 
-std::vector<std::pair<VertexId, VertexId>> PreferenceGraph::one_edges()
-    const {
-  std::vector<std::pair<VertexId, VertexId>> result;
-  for (VertexId i = 0; i < rows_.size(); ++i) {
-    for (const OutEdge& e : rows_[i]) {
-      if (e.weight == 1.0) result.emplace_back(i, e.to);
-    }
-  }
-  return result;
-}
-
 bool PreferenceGraph::is_complete() const {
   // Rows hold no self-edge and no duplicate, so a full row has n - 1.
   return std::all_of(rows_.begin(), rows_.end(), [&](const auto& row) {

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -65,10 +64,6 @@ class PreferenceGraph {
   bool is_out_node(VertexId v) const;
   std::vector<VertexId> in_nodes() const;
   std::vector<VertexId> out_nodes() const;
-
-  /// Directed edges carrying weight exactly 1 ("1-edges", §V-B): unanimous
-  /// votes. These are what preference smoothing adjusts. Row-major order.
-  std::vector<std::pair<VertexId, VertexId>> one_edges() const;
 
   /// True when every ordered pair (i, j), i != j, has weight > 0.
   bool is_complete() const;

@@ -1,8 +1,9 @@
 #include "service/hardening.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
+
+#include "crowd/vote_table.hpp"
 
 namespace crowdrank::service {
 
@@ -43,6 +44,50 @@ class DisjointSets {
   std::vector<std::size_t> parent_;
 };
 
+/// Pass 3's objects: those the kept in-range votes touch, restricted when
+/// `largest_only` to the largest component (ties toward the component
+/// holding the least object id). Counts the components into
+/// `component_count`. The union-find and the component sizes are freed on
+/// return, before compaction allocates its per-object arrays.
+std::vector<bool> retained_objects(const VoteBatch& votes,
+                                   const std::vector<char>& keep,
+                                   std::size_t n, bool largest_only,
+                                   std::size_t& component_count) {
+  DisjointSets sets(n);
+  std::vector<bool> touched(n, false);
+  for (std::size_t p = 0; p < votes.size(); ++p) {
+    const Vote& v = votes[p];
+    if (keep[p] && v.i < n && v.j < n) {
+      sets.unite(v.i, v.j);
+      touched[v.i] = true;
+      touched[v.j] = true;
+    }
+  }
+  std::vector<std::size_t> component_size(n, 0);  // by root
+  for (std::size_t v = 0; v < n; ++v) {
+    if (touched[v]) {
+      ++component_size[sets.find(v)];
+    }
+  }
+  std::size_t best_root = n;
+  std::size_t best_size = 0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (component_size[root] == 0) {
+      continue;
+    }
+    ++component_count;
+    if (component_size[root] > best_size) {  // first max by ascending root
+      best_root = root;
+      best_size = component_size[root];
+    }
+  }
+  std::vector<bool> retained(n, false);
+  for (std::size_t v = 0; v < n; ++v) {
+    retained[v] = touched[v] && (!largest_only || sets.find(v) == best_root);
+  }
+  return retained;
+}
+
 }  // namespace
 
 HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
@@ -62,12 +107,20 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
     }
   }
   r.requested_objects = n;
+  const auto in_range = [n](const Vote& v) { return v.i < n && v.j < n; };
 
-  // Pass 1 — per-vote filters: out-of-range and self votes.
-  VoteBatch kept;
-  kept.reserve(votes.size());
-  for (const Vote& v : votes) {
-    if (policy.drop_out_of_range && (v.i >= n || v.j >= n)) {
+  // Pass 1 — per-vote filters: out-of-range and self votes. With
+  // drop_out_of_range off, a vote naming an object >= n survives but
+  // skips passes 2 and 3: it joins no component, and compaction rewrites
+  // each object it names outside the retained set to n, an id no compact
+  // object has, so the engine rejects it unless the component restriction
+  // drops it first.
+  std::vector<char> keep(votes.size(), 0);  // per input vote
+  std::vector<WorkerId> workers;            // distinct survivors, ascending
+  workers.reserve(votes.size());
+  for (std::size_t p = 0; p < votes.size(); ++p) {
+    const Vote& v = votes[p];
+    if (policy.drop_out_of_range && !in_range(v)) {
       ++r.dropped_out_of_range;
       continue;
     }
@@ -75,42 +128,58 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       ++r.dropped_self;
       continue;
     }
-    kept.push_back(v);
+    keep[p] = 1;
+    workers.push_back(v.worker);
+  }
+  std::sort(workers.begin(), workers.end());
+  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+
+  std::vector<std::size_t> rank(votes.size(), 0);  // dense, per input vote
+  for (std::size_t p = 0; p < votes.size(); ++p) {
+    if (keep[p]) {
+      rank[p] = static_cast<std::size_t>(
+          std::lower_bound(workers.begin(), workers.end(), votes[p].worker) -
+          workers.begin());
+    }
   }
 
-  // Pass 2 — per-(worker, task) repairs. A worker answering the same task
-  // in both directions contradicts themselves: all their votes on that
-  // task are dropped. Repeated same-direction answers keep only the
-  // first occurrence. The direction mask is relative to the canonical
-  // edge so (i,j,prefers_i) and (j,i,!prefers_i) count as one direction.
+  // Pass 2 — per-(worker, task) repairs over the in-range survivors,
+  // grouped by task on dense worker ranks: one table slot per (task,
+  // worker) pair. A worker answering the same task in both directions
+  // contradicts themselves: all their votes on that task are dropped.
+  // Repeated same-direction answers keep only the first occurrence.
+  // Directions are relative to the canonical pair, so (i,j,prefers_i) and
+  // (j,i,!prefers_i) count as one direction.
   if (policy.drop_duplicates || policy.drop_conflicting) {
-    std::map<std::pair<WorkerId, Edge>, unsigned> direction_mask;
-    for (const Vote& v : kept) {
-      const Edge task = Edge::canonical(v.i, v.j);
-      const bool first_preferred = v.prefers_i == (v.i == task.first);
-      direction_mask[{v.worker, task}] |= first_preferred ? 1u : 2u;
+    VoteBatch ranked;
+    std::vector<std::size_t> source;  // table batch position -> input
+    ranked.reserve(votes.size());
+    source.reserve(votes.size());
+    for (std::size_t p = 0; p < votes.size(); ++p) {
+      const Vote& v = votes[p];
+      if (keep[p] && in_range(v)) {
+        ranked.push_back(Vote{rank[p], v.i, v.j, v.prefers_i});
+        source.push_back(p);
+      }
     }
-    std::map<std::pair<WorkerId, Edge>, bool> seen;
-    VoteBatch deduped;
-    deduped.reserve(kept.size());
-    for (const Vote& v : kept) {
-      const Edge task = Edge::canonical(v.i, v.j);
-      const auto key = std::make_pair(v.worker, task);
-      if (policy.drop_conflicting && direction_mask[key] == 3u) {
+    const VoteTable table(ranked, n, workers.size());
+    constexpr unsigned char kFirst = 1, kSecond = 2, kBoth = 3, kSeen = 4;
+    std::vector<unsigned char> slot(table.slot_count(), 0);
+    for (const TaskVote& v : table.votes()) {
+      slot[v.slot] |= v.first_preferred ? kFirst : kSecond;
+    }
+    for (const TaskVote& v : table.votes()) {
+      unsigned char& state = slot[v.slot];
+      if (policy.drop_conflicting && (state & kBoth) == kBoth) {
         ++r.dropped_conflicting;
-        continue;
+        keep[source[v.index]] = 0;
+      } else if (policy.drop_duplicates && (state & kSeen) != 0) {
+        ++r.dropped_duplicate;
+        keep[source[v.index]] = 0;
+      } else {
+        state |= kSeen;
       }
-      if (policy.drop_duplicates) {
-        bool& already = seen[key];
-        if (already) {
-          ++r.dropped_duplicate;
-          continue;
-        }
-        already = true;
-      }
-      deduped.push_back(v);
     }
-    kept = std::move(deduped);
   }
 
   // Pass 3 — connectivity: a ranking can only relate objects connected by
@@ -118,47 +187,17 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   // undirected connectivity is the right reachability notion). Restrict
   // to the largest component; ties break toward the component containing
   // the smallest object id.
-  std::vector<bool> retained_object(n, false);
-  if (n > 0 && !kept.empty()) {
-    DisjointSets sets(n);
-    std::vector<bool> touched(n, false);
-    for (const Vote& v : kept) {
-      sets.unite(v.i, v.j);
-      touched[v.i] = true;
-      touched[v.j] = true;
-    }
-    std::map<std::size_t, std::size_t> component_size;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (touched[v]) {
-        ++component_size[sets.find(v)];
+  const std::vector<bool> retained_object = retained_objects(
+      votes, keep, n, policy.restrict_to_largest_component,
+      r.component_count);
+  if (policy.restrict_to_largest_component) {
+    for (std::size_t p = 0; p < votes.size(); ++p) {
+      const Vote& v = votes[p];
+      if (keep[p] && !(in_range(v) && retained_object[v.i] &&
+                       retained_object[v.j])) {
+        keep[p] = 0;
+        ++r.dropped_disconnected;
       }
-    }
-    r.component_count = component_size.size();
-    std::size_t best_root = n;
-    std::size_t best_size = 0;
-    for (const auto& [root, size] : component_size) {
-      if (size > best_size) {  // first max in ascending root order wins
-        best_root = root;
-        best_size = size;
-      }
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      retained_object[v] =
-          touched[v] &&
-          (!policy.restrict_to_largest_component ||
-           sets.find(v) == best_root);
-    }
-    if (policy.restrict_to_largest_component) {
-      VoteBatch connected;
-      connected.reserve(kept.size());
-      for (const Vote& v : kept) {
-        if (retained_object[v.i] && retained_object[v.j]) {
-          connected.push_back(v);
-        } else {
-          ++r.dropped_disconnected;
-        }
-      }
-      kept = std::move(connected);
     }
   }
 
@@ -175,18 +214,31 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       r.excluded_objects.push_back(v);
     }
   }
-  std::map<WorkerId, WorkerId> worker_map;
-  for (const Vote& v : kept) {
-    worker_map.emplace(v.worker, 0);
+  std::vector<char> used(workers.size(), 0);  // per rank
+  for (std::size_t p = 0; p < votes.size(); ++p) {
+    if (keep[p]) {
+      used[rank[p]] = 1;
+    }
   }
-  for (auto& [original, compact] : worker_map) {
-    compact = batch.workers.size();
-    batch.workers.push_back(original);
+  std::vector<WorkerId> worker_map(workers.size(), 0);  // rank -> compact
+  for (std::size_t k = 0; k < workers.size(); ++k) {
+    if (used[k]) {
+      worker_map[k] = batch.workers.size();
+      batch.workers.push_back(workers[k]);
+    }
   }
-  batch.votes.reserve(kept.size());
-  for (const Vote& v : kept) {
-    batch.votes.push_back(Vote{worker_map.at(v.worker), object_map[v.i],
-                               object_map[v.j], v.prefers_i});
+  const auto object_id = [&](VertexId v) {
+    return v < n ? object_map[v] : n;
+  };
+  batch.votes.reserve(
+      static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 1)));
+  for (std::size_t p = 0; p < votes.size(); ++p) {
+    const Vote& v = votes[p];
+    if (keep[p]) {
+      batch.votes.push_back(Vote{worker_map[rank[p]],
+                                 object_id(v.i), object_id(v.j),
+                                 v.prefers_i});
+    }
   }
   r.retained_votes = batch.votes.size();
   return batch;

@@ -108,15 +108,14 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
   // -- cold path: the historical validate-already-done harden -> infer --
   StageTracker tracker(params.control);
   try {
-    VoteBatch votes;
-    std::vector<VertexId> object_map;  // compact -> original (empty = id)
+    const VoteBatch* votes = params.votes;
+    HardenedBatch batch;  // owns the repaired votes when repairing
     std::size_t object_count = params.object_count;
     std::size_t worker_count = params.worker_count;
 
     if (params.repair) {
-      const HardenedBatch batch =
-          harden_votes(*params.votes, params.object_count, *params.hardening,
-                       &out.hardening);
+      batch = harden_votes(*params.votes, params.object_count,
+                           *params.hardening, &out.hardening);
       out.ranking.excluded = out.hardening.excluded_objects;
       if (params.on_hardened) {
         params.on_hardened(out.hardening);
@@ -131,15 +130,15 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
       }
       object_count = batch.objects.size();
       worker_count = std::max(worker_count, batch.workers.size());
-      votes = batch.votes;
-      object_map = batch.objects;
+      votes = &batch.votes;
     } else {
-      votes = *params.votes;
-      for (const Vote& v : votes) {
+      for (const Vote& v : *votes) {
         object_count = std::max({object_count, v.i + 1, v.j + 1});
         worker_count = std::max(worker_count, v.worker + 1);
       }
     }
+    // Compact -> original object ids (empty = identity).
+    const std::vector<VertexId>& object_map = batch.objects;
 
     InferenceConfig inference = *params.inference;
     inference.control = &tracker;
@@ -147,9 +146,9 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
     const InferenceEngine engine(inference);
     out.inference =
         params.assignment != nullptr
-            ? engine.infer(votes, object_count, worker_count,
+            ? engine.infer(*votes, object_count, worker_count,
                            *params.assignment, rng)
-            : engine.infer(votes, object_count, worker_count, rng);
+            : engine.infer(*votes, object_count, worker_count, rng);
 
     out.ranking.order.assign(out.inference->ranking.order().begin(),
                              out.inference->ranking.order().end());

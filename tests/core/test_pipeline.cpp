@@ -8,6 +8,7 @@
 
 #include "core/smoothing.hpp"
 #include "metrics/kendall.hpp"
+#include "service/api.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank {
@@ -241,6 +242,122 @@ TEST(Pipeline, TaskListedTwiceIsSmoothedByItsFirstListingsWorkers) {
   const PreferenceGraph by_union = smooth_preferences(
       direct, listed.step1, union_wiring, config.smoothing, nullptr);
   EXPECT_NE(by_first.weight(1, 0), by_union.weight(1, 0));
+}
+
+TEST(Pipeline, ListedWorkerWhoCastNoVoteStillSmoothsTheTask) {
+  // §V-B smooths a 1-edge from "the workers who answered it"; with an
+  // assignment, those are the task's listed workers. A listed worker who
+  // cast no vote on the task still enters its smoothing mass with the
+  // quality their other votes earned.
+  Rng rng(11);
+  const std::vector<Edge> tasks{Edge{0, 1}, Edge{1, 2}, Edge{0, 2}};
+  const HitAssignment assignment(tasks, HitConfig{1, 2}, 6, rng);
+  const WorkerId voter = assignment.workers_for_task(0)[0];
+  const WorkerId silent = assignment.workers_for_task(0)[1];
+  std::vector<WorkerId> others;
+  for (WorkerId k = 0; k < 6; ++k) {
+    if (k != voter && k != silent) others.push_back(k);
+  }
+  // (0, 1) is unanimous from `voter` alone; `silent` dissents elsewhere,
+  // so their quality is below 1 and their expected error positive.
+  const VoteBatch votes{
+      Vote{voter, 0, 1, true},      Vote{others[0], 1, 2, true},
+      Vote{others[1], 1, 2, true},  Vote{silent, 1, 2, false},
+      Vote{others[0], 0, 2, true},  Vote{silent, 0, 2, false}};
+  InferenceConfig config;
+  config.smoothing.min_mass = 1e-300;  // no floor to hide the difference
+  const InferenceEngine engine(config);
+  Rng run_rng(3);
+  const InferenceResult result = engine.infer(votes, 3, 6, assignment, run_rng);
+  ASSERT_LT(result.step1.worker_quality[silent], 1.0);
+
+  const auto closure_with = [&](const std::vector<WorkerId>& task01) {
+    std::vector<std::vector<WorkerId>> wiring;
+    for (const TaskTruth& truth : result.step1.truths) {
+      wiring.push_back(truth.task == Edge{0, 1}
+                           ? task01
+                           : (truth.task == Edge{1, 2}
+                                  ? assignment.workers_for_task(1)
+                                  : assignment.workers_for_task(2)));
+    }
+    const PreferenceGraph smoothed = smooth_preferences(
+        result.step1.to_preference_graph(3), result.step1, wiring,
+        config.smoothing, nullptr);
+    return propagate_preferences(smoothed, config.propagation);
+  };
+  EXPECT_EQ(result.closure, closure_with({voter, silent}));
+  EXPECT_NE(result.closure, closure_with({voter}));
+}
+
+TEST(Pipeline, ListedWorkerOutsideTheWorkerCountFailsOnlyAUnanimousTask) {
+  // Both tasks list workers 0 and 1; only worker 0 votes, and worker_count
+  // 1 gives worker 1 no quality. Smoothing reads a task's workers only
+  // for a 1-edge, so only a unanimous task makes the listed worker an
+  // error.
+  Rng rng(2);
+  const HitAssignment assignment({Edge{0, 1}, Edge{1, 2}}, HitConfig{1, 2},
+                                 2, rng);
+  const InferenceEngine engine;
+  const VoteBatch contested{Vote{0, 0, 1, true}, Vote{0, 0, 1, false},
+                            Vote{0, 1, 2, true}, Vote{0, 2, 1, true}};
+  Rng run_rng(3);
+  const InferenceResult result =
+      engine.infer(contested, 3, 1, assignment, run_rng);
+  EXPECT_EQ(result.one_edge_count, 0u);
+  const VoteBatch unanimous{Vote{0, 0, 1, true}, Vote{0, 0, 1, false},
+                            Vote{0, 1, 2, true}};
+  EXPECT_THROW(engine.infer(unanimous, 3, 1, assignment, run_rng), Error);
+}
+
+TEST(Pipeline, StrictPathSmoothsEachTaskByItsDistinctVotersInVoteOrder) {
+  // repair = false: repeated answers reach the engine. Each task's
+  // workers are its distinct voters in first-vote order — one task here
+  // has thousands, and the low-quality ones answer it several times, so
+  // a list that kept the repeats would weigh them more.
+  constexpr std::size_t kWorkers = 3000;
+  Rng gen(29);
+  VoteBatch votes;
+  for (const std::size_t k : gen.permutation(kWorkers)) {
+    votes.push_back(Vote{k, 0, 1, true});  // (0, 1) is unanimous
+  }
+  for (WorkerId k = 0; k < kWorkers; ++k) {
+    // Workers 0..99 dissent on (1, 2) and answer (0, 1) twice more.
+    votes.push_back(Vote{k, 1, 2, k >= 100});
+    if (k < 100) {
+      votes.push_back(Vote{k, 1, 0, false});
+      votes.push_back(Vote{k, 0, 1, true});
+    }
+  }
+  api::Request request;
+  request.votes = votes;
+  request.object_count = 3;
+  request.worker_count = kWorkers;
+  request.repair = false;
+  request.inference.smoothing.min_mass = 1e-300;
+  const api::Response response = api::rank(request);
+  ASSERT_TRUE(response.ok()) << response.reason;
+  const InferenceResult& result = *response.inference;
+
+  const auto closure_with = [&](bool distinct) {
+    std::vector<std::vector<WorkerId>> wiring(result.step1.truths.size());
+    for (const Vote& v : votes) {
+      const Edge task = Edge::canonical(v.i, v.j);
+      for (std::size_t t = 0; t < wiring.size(); ++t) {
+        auto& list = wiring[t];
+        if (result.step1.truths[t].task == task &&
+            (!distinct ||
+             std::find(list.begin(), list.end(), v.worker) == list.end())) {
+          list.push_back(v.worker);
+        }
+      }
+    }
+    const PreferenceGraph smoothed = smooth_preferences(
+        result.step1.to_preference_graph(3), result.step1, wiring,
+        request.inference.smoothing, nullptr);
+    return propagate_preferences(smoothed, request.inference.propagation);
+  };
+  EXPECT_EQ(result.closure, closure_with(true));
+  EXPECT_NE(result.closure, closure_with(false));
 }
 
 TEST(Pipeline, ValidatesExperimentConfig) {

@@ -164,6 +164,10 @@ TEST(Smoothing, SpanListsAndMovedGraphMatchTheCopyingOverload) {
   const PreferenceGraph moved = smooth_preferences(
       f.step1.to_preference_graph(4), f.step1, spans, {}, nullptr, nullptr);
   EXPECT_EQ(moved.to_dense(), copied.to_dense());
+  EXPECT_EQ(smoothed_preference_graph(4, f.step1, spans, {}, nullptr,
+                                      nullptr)
+                .to_dense(),
+            copied.to_dense());
   // The lvalue argument itself is left as it was.
   EXPECT_EQ(f.graph.to_dense(), f.step1.to_preference_graph(4).to_dense());
 }

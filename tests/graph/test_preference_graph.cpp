@@ -67,17 +67,6 @@ TEST(PreferenceGraph, IsolatedVertexIsNeither) {
   EXPECT_FALSE(g.is_out_node(2));
 }
 
-TEST(PreferenceGraph, OneEdgesDetected) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 1.0);
-  g.set_weight(1, 2, 0.8);
-  g.set_weight(2, 1, 0.2);
-  const auto ones = g.one_edges();
-  ASSERT_EQ(ones.size(), 1u);
-  EXPECT_EQ(ones[0].first, 0u);
-  EXPECT_EQ(ones[0].second, 1u);
-}
-
 TEST(PreferenceGraph, CompletenessCheck) {
   PreferenceGraph g(3);
   EXPECT_FALSE(g.is_complete());
@@ -284,8 +273,6 @@ TEST(PreferenceGraph, LargeSparseGraphStaysLinear) {
   EXPECT_EQ(g.out_nodes(), std::vector<VertexId>{source});
   EXPECT_TRUE(g.is_in_node(sink));
   EXPECT_TRUE(g.is_out_node(source));
-  EXPECT_EQ(g.one_edges(),
-            (std::vector<std::pair<VertexId, VertexId>>{{1, 0}}));
   EXPECT_FALSE(g.is_complete());
   EXPECT_FALSE(g.is_strongly_connected());
   // The ring is one component; sink and source are singletons.
